@@ -8,7 +8,7 @@ pipeline.
 
 __version__ = "0.1.0"
 
-from .intervals import ComplexInterval, Interval, IntervalMatrix, IntervalVector
+from .intervals import ComplexInterval, Interval, IntervalArray, IntervalMatrix, IntervalVector
 from .model import FullConfiguration, RingSystem, VortexParameters
 from .continuation import (
     AugmentedPoint,
@@ -24,6 +24,7 @@ __all__ = [
     "__version__",
     "Interval",
     "ComplexInterval",
+    "IntervalArray",
     "IntervalVector",
     "IntervalMatrix",
     "FullConfiguration",

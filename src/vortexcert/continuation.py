@@ -30,12 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intervals as iv
-from .intervals import DomainError, Interval
+from .intervals import DomainError, Interval, IntervalArray
 from .model import (
-    J3,
     RingSystem,
     grad_hstar,
     hess_hstar,
+    j3_rows,
     reduced_phi,
     solve_ring_multipliers,
     to_interval_array,
@@ -44,7 +44,6 @@ from .model import (
 __all__ = [
     "NoConvergence",
     "NotValidated",
-    "BranchStalled",
     "AugmentedPoint",
     "NKBounds",
     "PointCertificate",
@@ -81,14 +80,6 @@ class NotValidated(RuntimeError):
         self.Y = Y
         self.Yhat = Yhat
         self.Z = Z
-
-
-class BranchStalled(RuntimeError):
-    """Step bisection hit the floor; carries the stall location."""
-
-    def __init__(self, omega: float, message: str = ""):
-        super().__init__(message or f"branch continuation stalled at omega = {omega}")
-        self.omega = omega
 
 
 @dataclass
@@ -137,74 +128,56 @@ def _split(x: np.ndarray, n: int):
     return u, lam, alpha
 
 
-def _interval_mode(x) -> bool:
-    return isinstance(x, np.ndarray) and x.dtype == object
-
-
 def augmented_map_F(x, omega, b0: np.ndarray, m: int, p: int):
-    """Assemble F; x is the flat (4n+1)-vector (floats or intervals)."""
+    """Assemble F; x is the flat (4n+1)-vector (floats, or intervals given
+    as an object array of Interval, which yields an IntervalArray)."""
     b0 = np.asarray(b0, dtype=float)
     n = b0.shape[0]
-    interval_mode = _interval_mode(x)
-    u, lam, alpha = _split(x, n)
+    u, lam, _ = _split(x, n)
     grad = grad_hstar(u, lam, omega, m, p)
-    out = np.empty(4 * n + 1, dtype=object if interval_mode else float)
-    for j in range(n):
-        jb = J3 @ (u[j] if not interval_mode else np.array(u[j], dtype=object))
-        for c in range(3):
-            out[3 * j + c] = grad[j][c] + alpha * jb[c]
-    for j in range(n):
-        nrm = u[j][0] * u[j][0] + u[j][1] * u[j][1] + u[j][2] * u[j][2]
-        out[3 * n + j] = (nrm - 1.0) * 0.5
-    sec = Interval(0.0) if interval_mode else 0.0
-    for j in range(n):
-        jb0 = J3 @ b0[j]
-        for c in range(3):
-            sec = sec + jb0[c] * (u[j][c] - b0[j][c])
-    out[4 * n] = sec
-    return out
+    U, _, alpha = _split(iv.as_array(x), n)
+    return iv.concatenate(
+        [
+            (grad + alpha * j3_rows(U)).reshape(-1),
+            (iv.sqr(U).sum(axis=1) - 1.0) * 0.5,
+            (j3_rows(b0) * (U - b0)).sum(),
+        ]
+    )
 
 
 def jacobian_F(x, omega, b0: np.ndarray, m: int, p: int):
-    """Jacobian of F with respect to (u, lambda, alpha)."""
+    """Jacobian of F with respect to (u, lambda, alpha); an IntervalArray
+    for interval x."""
     b0 = np.asarray(b0, dtype=float)
     n = b0.shape[0]
-    interval_mode = _interval_mode(x)
-    u, lam, alpha = _split(x, n)
-    d = 4 * n + 1
-    DF = np.empty((d, d), dtype=object if interval_mode else float)
-    DF[:, :] = Interval(0.0) if interval_mode else 0.0
+    u, lam, _ = _split(x, n)
     H = hess_hstar(u, lam, omega, m, p)
+    U, _, alpha = _split(iv.as_array(x), n)
+    d = 4 * n + 1
+    DF = iv.zeros((d, d), like=H)
     DF[: 3 * n, : 3 * n] = H
-    for j in range(n):
-        # alpha * J3 block on the diagonal
-        for a in range(3):
-            for b in range(3):
-                if J3[a, b] != 0.0:
-                    DF[3 * j + a, 3 * j + b] = DF[3 * j + a, 3 * j + b] + alpha * J3[a, b]
-        # multiplier columns m * u_j and constraint rows u_j
-        for c in range(3):
-            DF[3 * j + c, 3 * n + j] = float(m) * u[j][c]
-            DF[3 * n + j, 3 * j + c] = u[j][c]
-        # unfolding column J3 u_j and section row J3 b0_j
-        ju = J3 @ (u[j] if not interval_mode else np.array(u[j], dtype=object))
-        jb0 = J3 @ b0[j]
-        for c in range(3):
-            DF[3 * j + c, 4 * n] = ju[c]
-            DF[4 * n, 3 * j + c] = Interval(jb0[c]) if interval_mode else jb0[c]
+    # alpha * J3 on the diagonal blocks
+    r = 3 * np.arange(n)
+    DF[r, r + 1] = DF[r, r + 1] - alpha
+    DF[r + 1, r] = DF[r + 1, r] + alpha
+    # multiplier columns m * u_j and constraint rows u_j
+    k = np.arange(3 * n)
+    DF[k, 3 * n + k // 3] = float(m) * U.reshape(-1)
+    DF[3 * n + k // 3, k] = U.reshape(-1)
+    # unfolding column J3 u_j and section row J3 b0_j
+    DF[k, 4 * n] = j3_rows(U).reshape(-1)
+    DF[4 * n, k] = j3_rows(b0).reshape(-1)
     return DF
 
 
 def jacobian_F_omega(x, b0: np.ndarray, m: int, p: int):
-    """dF/domega = (-grad_u phi, 0, ..., 0) = (-m e3 blocks, zeros)."""
-    b0 = np.asarray(b0, dtype=float)
-    n = b0.shape[0]
-    interval_mode = _interval_mode(x)
-    out = np.empty(4 * n + 1, dtype=object if interval_mode else float)
-    out[:] = Interval(0.0) if interval_mode else 0.0
-    for j in range(n):
-        out[3 * j + 2] = Interval(-float(m)) if interval_mode else -float(m)
-    return out
+    """dF/domega = (-grad_u phi, 0, ..., 0) = (-m e3 blocks, zeros); exact,
+    and a point IntervalArray for interval x."""
+    n = np.asarray(b0).shape[0]
+    out = np.zeros(4 * n + 1)
+    out[2 : 3 * n : 3] = -float(m)
+    interval_mode = isinstance(x, IntervalArray) or (isinstance(x, np.ndarray) and x.dtype == object)
+    return IntervalArray(out) if interval_mode else out
 
 
 def newton_polish(
@@ -292,44 +265,25 @@ class PointCertificate:
     anchor: np.ndarray
 
     def enclosure(self) -> np.ndarray:
-        x = self.point.flat()
-        r0 = self.bounds.r0
-        out = np.empty(len(x), dtype=object)
-        for i, v in enumerate(x):
-            out[i] = Interval(math.nextafter(v - r0, -math.inf), math.nextafter(v + r0, math.inf))
-        return out
+        return IntervalArray(self.point.flat()).pad(self.bounds.r0).to_object()
 
-    def refined_enclosure(self) -> np.ndarray:
+    def refined_enclosure(self) -> IntervalArray:
         """Per-coordinate tightening of the certified box by one interval
         Newton (Krawczyk) sweep: the unique zero x* in X = x +- r0 satisfies
         x* in x - A F(x) + (I - A DF(X)) (X - x) componentwise."""
         x = self.point.flat()
-        omega = self.point.omega
+        omega = Interval(self.point.omega)
         X = self.enclosure()
-        A = _approx_inverse(x, omega, self.anchor, self.m, self.p)
-        A_obj = to_interval_array(A)
-        F_iv = augmented_map_F(to_interval_array(x), Interval(omega), self.anchor, self.m, self.p)
-        newton = A_obj @ F_iv
-        DF = jacobian_F(X, Interval(omega), self.anchor, self.m, self.p)
-        E = _eye_obj(len(x)) - A_obj @ DF
-        spread = np.empty(len(x), dtype=object)
+        A = _approx_inverse(x, self.point.omega, self.anchor, self.m, self.p)
+        newton = A @ augmented_map_F(to_interval_array(x), omega, self.anchor, self.m, self.p)
+        E = np.eye(len(x)) - A @ jacobian_F(X, omega, self.anchor, self.m, self.p)
         r0 = self.bounds.r0
-        pad = Interval(-r0, r0)
-        for i in range(len(x)):
-            acc = Interval(0.0)
-            for j in range(len(x)):
-                acc = acc + E[i, j] * pad
-            spread[i] = acc
-        out = np.empty(len(x), dtype=object)
-        for i in range(len(x)):
-            k_i = Interval(x[i]) - newton[i] + spread[i]
-            out[i] = k_i.intersect(X[i])
-        return out
+        spread = (E * Interval(-r0, r0)).sum(axis=1)
+        return (x - newton + spread).intersect(iv.as_array(X))
 
     def coordinate_tolerance(self) -> float:
         """Largest half-width of the refined generator-coordinate enclosures."""
-        enc = self.refined_enclosure()
-        return max(enc[i].rad for i in range(3 * self.n))
+        return float(np.max(self.refined_enclosure().rad[: 3 * self.n]))
 
     def ring_enclosure(self) -> RingSystem:
         enc = self.enclosure()
@@ -364,16 +318,10 @@ class BranchCertificate:
 
     def ring_tube(self) -> RingSystem:
         """Interval ring system covering the certified tube."""
-        r0 = self.bounds.r0
-        gens = np.empty((self.n, 3), dtype=object)
         u0 = np.asarray(self.x0.u, dtype=float)
         u1 = np.asarray(self.x1.u, dtype=float)
-        for j in range(self.n):
-            for c in range(3):
-                lo = min(u0[j, c], u1[j, c]) - r0
-                hi = max(u0[j, c], u1[j, c]) + r0
-                gens[j, c] = Interval(math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf))
-        return RingSystem(self.m, self.n, self.p, gens, check=False)
+        gens = IntervalArray(np.minimum(u0, u1), np.maximum(u0, u1)).pad(self.bounds.r0)
+        return RingSystem(self.m, self.n, self.p, gens.to_object(), check=False)
 
     def omega_tube(self) -> Interval:
         lo, hi = self.omega_interval
@@ -414,45 +362,6 @@ class BranchCertificate:
         )
 
 
-def _norm_sup_vec(v: np.ndarray) -> float:
-    return max(e.mag for e in v)
-
-
-def _norm_sup_mat(M: np.ndarray) -> float:
-    best = 0.0
-    for i in range(M.shape[0]):
-        acc = Interval(0.0)
-        for e in M[i]:
-            acc = acc + e.mag
-        best = max(best, acc.hi)
-    return best
-
-
-def _interval_box(x: np.ndarray, r: float) -> np.ndarray:
-    out = np.empty(len(x), dtype=object)
-    for i, v in enumerate(x):
-        if isinstance(v, Interval):
-            out[i] = Interval(math.nextafter(v.lo - r, -math.inf), math.nextafter(v.hi + r, math.inf))
-        else:
-            out[i] = Interval(math.nextafter(v - r, -math.inf), math.nextafter(v + r, math.inf))
-    return out
-
-
-def _hull_vec(x0: np.ndarray, x1: np.ndarray) -> np.ndarray:
-    out = np.empty(len(x0), dtype=object)
-    for i in range(len(x0)):
-        out[i] = Interval(min(x0[i], x1[i]), max(x0[i], x1[i]))
-    return out
-
-
-def _eye_obj(d: int) -> np.ndarray:
-    out = np.empty((d, d), dtype=object)
-    out[:, :] = Interval(0.0)
-    for i in range(d):
-        out[i, i] = Interval(1.0)
-    return out
-
-
 def _approx_inverse(x: np.ndarray, omega: float, b0, m: int, p: int) -> np.ndarray:
     DF = jacobian_F(x, omega, b0, m, p)
     try:
@@ -464,20 +373,18 @@ def _approx_inverse(x: np.ndarray, omega: float, b0, m: int, p: int) -> np.ndarr
     return A
 
 
-def _contraction_bound(A_obj, box, omega_iv, b0, m, p) -> float:
-    DF = jacobian_F(box, omega_iv, b0, m, p)
-    E = _eye_obj(A_obj.shape[0]) - A_obj @ DF
-    return _norm_sup_mat(E)
+def _contraction_bound(A, box, omega_iv, b0, m, p) -> float:
+    return iv.contraction_defect(A, jacobian_F(box, omega_iv, b0, m, p))
 
 
-def _find_radius(A_obj, center, omega_iv, b0, m, p, Y, Yhat, r_star, Z_base=None):
+def _find_radius(A, center: IntervalArray, omega_iv, b0, m, p, Y, Yhat, r_star, Z_base=None):
     """Shrink r* until the radii polynomial admits a root, or fail fast.
 
     Z(r) is monotone in r, so a contraction defect >= 1 already on the
     unpadded hull rules out every radius.
     """
     if Z_base is None:
-        Z_base = _contraction_bound(A_obj, center, omega_iv, b0, m, p)
+        Z_base = _contraction_bound(A, center.to_object(), omega_iv, b0, m, p)
     if Z_base >= 1.0:
         raise NotValidated(
             f"contraction defect {Z_base:.3e} >= 1 on the segment hull "
@@ -492,7 +399,7 @@ def _find_radius(A_obj, center, omega_iv, b0, m, p, Y, Yhat, r_star, Z_base=None
     r = min(r_star, max(4.0 * need / (1.0 - Z_base), _R_STAR_FLOOR))
     Z_last = Z_base
     for _ in range(8):
-        Z = _contraction_bound(A_obj, _interval_box(center, r), omega_iv, b0, m, p)
+        Z = _contraction_bound(A, center.pad(r).to_object(), omega_iv, b0, m, p)
         r0 = _choose_r0(Y, Yhat, Z, r)
         if r0 is not None:
             return NKBounds(Y=Y, Yhat=Yhat, Z=Z, r_star=r, r0=r0)
@@ -540,10 +447,8 @@ def nk_validate_point(
     x = point.flat()
     omega = point.omega
     A = _approx_inverse(x, omega, b0, m, p)
-    A_obj = to_interval_array(A)
-    F_iv = augmented_map_F(to_interval_array(x), Interval(omega), b0, m, p)
-    Y = _norm_sup_vec(A_obj @ F_iv)
-    bounds = _find_radius(A_obj, to_interval_array(x), Interval(omega), b0, m, p, Y, 0.0, r_star)
+    Y = iv.sup_norm(A @ augmented_map_F(to_interval_array(x), Interval(omega), b0, m, p))
+    bounds = _find_radius(A, IntervalArray(x), Interval(omega), b0, m, p, Y, 0.0, r_star)
     return PointCertificate(
         m=m, n=(len(x) - 1) // 4, p=p, point=point, bounds=bounds, anchor=np.asarray(b0, dtype=float)
     )
@@ -562,24 +467,26 @@ def nk_validate_segment(
     xf1 = x1.flat()
     w0, w1 = x0.omega, x1.omega
     A = _approx_inverse(xf0, w0, b0, m, p)
-    A_obj = to_interval_array(A)
-    F_iv = augmented_map_F(to_interval_array(xf0), Interval(w0), b0, m, p)
-    Y = _norm_sup_vec(A_obj @ F_iv)
+    Y = iv.sup_norm(A @ augmented_map_F(to_interval_array(xf0), Interval(w0), b0, m, p))
 
-    hull = _hull_vec(xf0, xf1)
+    hull = IntervalArray(np.minimum(xf0, xf1), np.maximum(xf0, xf1))
     w_hull = Interval(min(w0, w1), max(w0, w1))
     # mean-value bound: F(xs, ws) - F(x0, w0) = s * [DF(hull) dx + F_w(hull) dw]
-    DF_hull = jacobian_F(hull, w_hull, b0, m, p)
-    Fw_hull = jacobian_F_omega(hull, b0, m, p)
-    dx = to_interval_array(xf1 - xf0)
-    dw = Interval(w1) - Interval(w0)
-    vec = DF_hull @ dx + Fw_hull * dw
-    s01 = Interval(0.0, 1.0)
-    Yhat_vec = (A_obj @ vec) * s01
-    Yhat = _norm_sup_vec(Yhat_vec)
+    # for s in [0, 1]; its sup norm is largest at s = 1
+    hull_obj = hull.to_object()
+    DF_hull = jacobian_F(hull_obj, w_hull, b0, m, p)
+    dx = xf1 - xf0
+    # dx carries one rounding: |dx - (x1 - x0)| <= u |dx| componentwise
+    dx_slack = iv.sup_norm(DF_hull) * float(np.max(np.abs(dx))) * 2.0**-52
+    vec = (
+        DF_hull @ dx
+        + IntervalArray(-dx_slack, dx_slack)
+        + jacobian_F_omega(hull_obj, b0, m, p) * (Interval(w1) - Interval(w0))
+    )
+    Yhat = iv.sup_norm(A @ vec)
 
-    Z_base = _norm_sup_mat(_eye_obj(len(xf0)) - A_obj @ DF_hull)
-    bounds = _find_radius(A_obj, hull, w_hull, b0, m, p, Y, Yhat, r_star, Z_base=Z_base)
+    Z_base = iv.contraction_defect(A, DF_hull)
+    bounds = _find_radius(A, hull, w_hull, b0, m, p, Y, Yhat, r_star, Z_base=Z_base)
     return BranchCertificate(
         m=m, n=x0.n, p=p, anchor=np.asarray(b0, dtype=float), x0=x0, x1=x1, bounds=bounds
     )

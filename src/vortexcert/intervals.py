@@ -15,6 +15,18 @@ extrema.
 
 Values are immutable after construction.  Double precision only; there is
 no arbitrary-precision fallback.
+
+IntervalArray is the array form used by the model and the
+Newton-Kantorovich bounds: float64 ``lo``/``hi`` endpoint arrays and numpy
+operations.  The array path rounds each computed endpoint one ulp outward
+with ``np.nextafter``: ``+ - *`` and ``sqr`` only on the side where the
+vectorised TwoSum/TwoProduct (same exponent guard) show an error, division
+on both sides.  Axis sums are pairwise trees of such additions; the
+float-matrix product ``matmul`` uses an a-priori error bound instead.  It
+keeps exact zeros exact: a point-zero factor or numerator gives a point
+zero, and a ``matmul`` entry whose every term has a zero factor is an exact
+zero.  TwoSum/TwoProduct exactness of other results remains a contract of
+the scalar Interval only; division and ``matmul`` widen exact results.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ __all__ = [
     "ComplexInterval",
     "IntervalVector",
     "IntervalMatrix",
+    "IntervalArray",
     "PI",
     "TWO_PI",
     "ln",
@@ -44,6 +57,14 @@ __all__ = [
     "mat_vec",
     "norm_sup",
     "norm_sup_matrix",
+    "as_array",
+    "zeros",
+    "stack",
+    "concatenate",
+    "sqr",
+    "matmul",
+    "sup_norm",
+    "contraction_defect",
     "InverseEnclosure",
     "verify_invertible",
     "complex_det_enclosure",
@@ -242,7 +263,7 @@ class Interval:
         return Interval(float(x))
 
     def __add__(self, other):
-        if isinstance(other, (ComplexInterval, np.ndarray)):
+        if isinstance(other, _DEFER_TO):
             return NotImplemented
         o = Interval._coerce(other)
         lo, _ = _sum_bounds(self.lo, o.lo)
@@ -252,7 +273,7 @@ class Interval:
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (ComplexInterval, np.ndarray)):
+        if isinstance(other, _DEFER_TO):
             return NotImplemented
         o = Interval._coerce(other)
         lo, _ = _sum_bounds(self.lo, -o.hi)
@@ -269,7 +290,7 @@ class Interval:
         return self
 
     def __mul__(self, other):
-        if isinstance(other, (ComplexInterval, np.ndarray)):
+        if isinstance(other, _DEFER_TO):
             return NotImplemented
         o = Interval._coerce(other)
         l1, h1 = _prod_bounds(self.lo, o.lo)
@@ -281,7 +302,7 @@ class Interval:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (ComplexInterval, np.ndarray)):
+        if isinstance(other, _DEFER_TO):
             return NotImplemented
         o = Interval._coerce(other)
         if o.lo <= 0.0 <= o.hi:
@@ -716,6 +737,404 @@ def norm_sup_matrix(M) -> Interval:
     return Interval(lo, hi)
 
 
+# ---------------------------------------------------------------------------
+# Interval arrays
+# ---------------------------------------------------------------------------
+
+_U = 2.0**-53  # unit roundoff of binary64, round to nearest
+_ETA = 2.0**-1074  # smallest positive subnormal
+
+
+def _gamma(n: int) -> float:
+    """Upper bound of gamma_n = n u / (1 - n u), the a-priori relative error
+    bound of an n-term floating-point sum or dot product in any order
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1)."""
+    nu = n * _U
+    return nu / (1.0 - nu) * (1.0 + 2.0**-20)
+
+
+def _down_arr(x):
+    return np.nextafter(x, -np.inf)
+
+
+def _up_arr(x):
+    return np.nextafter(x, np.inf)
+
+
+def _sum_err(a, b):
+    """fl(a + b) and its exact error a + b - fl(a + b) (Knuth's TwoSum;
+    exact also under gradual underflow)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _add_lo(a, b):
+    s, err = _sum_err(a, b)
+    return np.where(err < 0.0, _down_arr(s), s)
+
+
+def _add_hi(a, b):
+    s, err = _sum_err(a, b)
+    return np.where(err > 0.0, _up_arr(s), s)
+
+
+def _mul_bounds(a, b):
+    """Lower and upper bounds of a*b: fl(a*b), moved one ulp outward on the
+    side where Dekker's TwoProduct puts the error, and on both sides outside
+    its safe exponent range.  A zero factor gives an exact zero."""
+    p = a * b
+    ca = _SPLITTER * a
+    a1 = ca - (ca - a)
+    a2 = a - a1
+    cb = _SPLITTER * b
+    b1 = cb - (cb - b)
+    b2 = b - b1
+    err = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    aa, ab = np.abs(a), np.abs(b)
+    safe = (aa > _SAFE_LO) & (aa < _SAFE_HI) & (ab > _SAFE_LO) & (ab < _SAFE_HI) & (np.abs(p) > _SAFE_LO)
+    zero = (a == 0.0) | (b == 0.0)
+    lo = np.where(zero | (safe & (err >= 0.0)), p, _down_arr(p))
+    hi = np.where(zero | (safe & (err <= 0.0)), p, _up_arr(p))
+    return lo, hi
+
+
+def _point_zero(lo, hi):
+    return (lo == 0.0) & (hi == 0.0)
+
+
+class IntervalArray:
+    """Array of closed intervals with float64 endpoint arrays ``lo <= hi``.
+
+    Supports broadcasting elementwise ``+ - * /`` with other interval
+    arrays, scalar Intervals, floats and float arrays, ``sqr``, axis sums,
+    indexing (a 0-d result is returned as a scalar Interval) and
+    ``A @ X`` with a float matrix A (see ``matmul``).  Endpoints are assumed
+    finite.  Arrays are not modified in place by any operation.
+    """
+
+    __slots__ = ("lo", "hi")
+    __array_ufunc__ = None  # numpy operators defer to the reflected methods
+
+    def __init__(self, lo, hi=None):
+        lo = np.array(lo, dtype=float)
+        hi = lo.copy() if hi is None else np.array(hi, dtype=float)
+        if lo.shape != hi.shape:
+            raise ShapeError(f"endpoint shapes {lo.shape} and {hi.shape} differ")
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise DomainError("NaN interval endpoint")
+        if (lo > hi).any():
+            raise DomainError("empty interval in array")
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def _mk(cls, lo, hi) -> "IntervalArray":
+        out = object.__new__(cls)
+        out.lo = lo
+        out.hi = hi
+        return out
+
+    @classmethod
+    def from_object(cls, data) -> "IntervalArray":
+        """Convert an object array (or nested sequence) of Intervals and floats."""
+        arr = np.asarray(data, dtype=object)
+        flat = arr.reshape(-1)
+        lo = np.array([e.lo if isinstance(e, Interval) else float(e) for e in flat], dtype=float)
+        hi = np.array([e.hi if isinstance(e, Interval) else float(e) for e in flat], dtype=float)
+        return cls(lo.reshape(arr.shape), hi.reshape(arr.shape))
+
+    def to_object(self) -> np.ndarray:
+        """Object array of scalar Intervals with the same endpoints."""
+        out = np.empty(self.shape, dtype=object)
+        flat = out.reshape(-1)
+        for i, (a, b) in enumerate(zip(self.lo.reshape(-1).tolist(), self.hi.reshape(-1).tolist())):
+            flat[i] = Interval._mk(a, b)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if dtype is not None and np.dtype(dtype) != np.dtype(object):
+            raise TypeError("an IntervalArray converts only to an object array of Intervals")
+        return self.to_object()
+
+    # -- shape and indexing ---------------------------------------------------
+
+    @property
+    def shape(self) -> tuple:
+        return self.lo.shape
+
+    @property
+    def ndim(self) -> int:
+        return self.lo.ndim
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, idx):
+        lo = self.lo[idx]
+        hi = self.hi[idx]
+        if np.ndim(lo) == 0:
+            return Interval._mk(float(lo), float(hi))
+        return IntervalArray._mk(lo, hi)
+
+    def __setitem__(self, idx, value):
+        lo, hi = _endpoints(value)
+        self.lo[idx] = lo
+        self.hi[idx] = hi
+
+    def reshape(self, *shape) -> "IntervalArray":
+        return IntervalArray._mk(self.lo.reshape(*shape), self.hi.reshape(*shape))
+
+    def transpose(self, *axes) -> "IntervalArray":
+        return IntervalArray._mk(self.lo.transpose(*axes), self.hi.transpose(*axes))
+
+    @property
+    def T(self) -> "IntervalArray":
+        return self.transpose()
+
+    # -- queries --------------------------------------------------------------
+
+    @property
+    def mid(self) -> np.ndarray:
+        return 0.5 * (self.lo + self.hi)
+
+    @property
+    def rad(self) -> np.ndarray:
+        return 0.5 * (self.hi - self.lo)
+
+    def mag(self) -> np.ndarray:
+        return np.maximum(np.abs(self.lo), np.abs(self.hi))
+
+    def _midrad(self):
+        """Float midpoints and radii with [lo, hi] inside mid +- rad."""
+        mid = 0.5 * (self.lo + self.hi)
+        rad = np.maximum(self.hi - mid, mid - self.lo)
+        return mid, np.where(rad != 0.0, _up_arr(rad), 0.0)
+
+    def pad(self, r: float) -> "IntervalArray":
+        """Outward enlargement of every entry by r >= 0."""
+        return IntervalArray._mk(_down_arr(self.lo - r), _up_arr(self.hi + r))
+
+    def intersect(self, other) -> "IntervalArray":
+        olo, ohi = _endpoints(other)
+        lo = np.maximum(self.lo, olo)
+        hi = np.minimum(self.hi, ohi)
+        if (lo > hi).any():
+            raise DomainError("empty intersection")
+        return IntervalArray._mk(lo, hi)
+
+    def __repr__(self):
+        return f"IntervalArray(lo={self.lo!r}, hi={self.hi!r})"
+
+    # -- arithmetic -------------------------------------------------------------
+
+    def __neg__(self):
+        return IntervalArray._mk(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        if isinstance(other, ComplexInterval):
+            return NotImplemented
+        blo, bhi = _endpoints(other)
+        return IntervalArray._mk(_add_lo(self.lo, blo), _add_hi(self.hi, bhi))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, ComplexInterval):
+            return NotImplemented
+        blo, bhi = _endpoints(other)
+        return IntervalArray._mk(_add_lo(self.lo, -bhi), _add_hi(self.hi, -blo))
+
+    def __rsub__(self, other):
+        return (-self).__add__(other)
+
+    def __mul__(self, other):
+        if isinstance(other, ComplexInterval):
+            return NotImplemented
+        if isinstance(other, (float, int)):
+            c = float(other)
+            lo, hi = _mul_bounds(c, np.array((self.lo, self.hi)))
+            return IntervalArray._mk(np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1]))
+        blo, bhi = _endpoints(other)
+        shape = (4,) + np.broadcast_shapes(self.lo.shape, np.shape(blo))
+        a, b = np.empty(shape), np.empty(shape)
+        a[:2], a[2:], b[0::2], b[1::2] = self.lo, self.hi, blo, bhi
+        lo, hi = _mul_bounds(a, b)
+        return IntervalArray._mk(lo.min(axis=0), hi.max(axis=0))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, ComplexInterval):
+            return NotImplemented
+        blo, bhi = _endpoints(other)
+        if np.any((blo <= 0.0) & (bhi >= 0.0)):
+            raise DomainError("division by interval containing zero")
+        alo, ahi = self.lo, self.hi
+        q1, q2, q3, q4 = alo / blo, alo / bhi, ahi / blo, ahi / bhi
+        lo = np.minimum(np.minimum(q1, q2), np.minimum(q3, q4))
+        hi = np.maximum(np.maximum(q1, q2), np.maximum(q3, q4))
+        exact = _point_zero(alo, ahi)
+        return IntervalArray._mk(np.where(exact, 0.0, _down_arr(lo)), np.where(exact, 0.0, _up_arr(hi)))
+
+    def __rtruediv__(self, other):
+        return IntervalArray._mk(*_endpoints(other)) / self
+
+    def sqr(self) -> "IntervalArray":
+        """Tight [x**2 for x in each entry]."""
+        ends = np.array((self.lo, self.hi))
+        lo, hi = _mul_bounds(ends, ends)
+        straddle = (self.lo <= 0.0) & (self.hi >= 0.0)
+        return IntervalArray._mk(np.where(straddle, 0.0, np.minimum(lo[0], lo[1])), np.maximum(hi[0], hi[1]))
+
+    def sum(self, axis=None) -> "IntervalArray | Interval":
+        """Enclosure of the sum along an axis (all entries for None), added
+        pairwise with rounded additions."""
+        lo, hi = self.lo, self.hi
+        if axis is None:
+            lo, hi, axis = lo.reshape(-1), hi.reshape(-1), 0
+        lo, hi = np.moveaxis(lo, axis, 0), np.moveaxis(hi, axis, 0)
+        if lo.shape[0] == 0:
+            lo = hi = np.zeros((1,) + lo.shape[1:])
+        while lo.shape[0] > 1:
+            h = lo.shape[0] // 2
+            lo = np.concatenate([_add_lo(lo[:h], lo[h : 2 * h]), lo[2 * h :]])
+            hi = np.concatenate([_add_hi(hi[:h], hi[h : 2 * h]), hi[2 * h :]])
+        return self._mk(lo[0], hi[0]) if lo.ndim > 1 else Interval._mk(float(lo[0]), float(hi[0]))
+
+    # -- products with float matrices -------------------------------------------
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
+
+    def __matmul__(self, other):
+        """X @ B for a float matrix or vector B, as (B^T X^T)^T."""
+        other = np.asarray(other, dtype=float)
+        if other.ndim == 1:
+            return matmul(other, self.T)
+        return matmul(other.T, self.T).T
+
+
+_DEFER_TO = (ComplexInterval, np.ndarray, IntervalArray)
+
+
+def _endpoints(x):
+    """(lo, hi) float endpoints of an interval operand of any supported kind."""
+    if isinstance(x, IntervalArray):
+        return x.lo, x.hi
+    if isinstance(x, Interval):
+        return x.lo, x.hi
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        x = IntervalArray.from_object(x)
+        return x.lo, x.hi
+    x = np.asarray(x, dtype=float)
+    return x, x
+
+
+def as_array(x):
+    """IntervalArray for interval input (an IntervalArray or an object array
+    of Intervals), a float64 ndarray otherwise.  This is the one entry
+    conversion of the code paths that serve floats and intervals alike."""
+    if isinstance(x, IntervalArray):
+        return x
+    if isinstance(x, np.ndarray) and x.dtype == object:
+        return IntervalArray.from_object(x)
+    return np.asarray(x, dtype=float)
+
+
+def _any_interval(items) -> bool:
+    return any(isinstance(x, (IntervalArray, Interval)) or (isinstance(x, np.ndarray) and x.dtype == object) for x in items)
+
+
+def zeros(shape, like=None):
+    """Float zeros, or point-zero intervals when ``like`` is an IntervalArray."""
+    z = np.zeros(shape)
+    return IntervalArray(z) if isinstance(like, IntervalArray) else z
+
+
+def stack(items, axis: int = 0):
+    """np.stack for floats and intervals alike (operands are broadcast)."""
+    if not _any_interval(items):
+        return np.stack(np.broadcast_arrays(*items), axis=axis)
+    ends = [_endpoints(x) for x in items]
+    los = np.broadcast_arrays(*(e[0] for e in ends))
+    his = np.broadcast_arrays(*(e[1] for e in ends))
+    return IntervalArray._mk(np.stack(los, axis=axis), np.stack(his, axis=axis))
+
+
+def concatenate(items, axis: int = 0):
+    """np.concatenate for floats and intervals alike; scalars count as length 1."""
+    if not _any_interval(items):
+        return np.concatenate([np.atleast_1d(x) for x in items], axis=axis)
+    ends = [_endpoints(x) for x in items]
+    return IntervalArray._mk(
+        np.concatenate([np.atleast_1d(e[0]) for e in ends], axis=axis),
+        np.concatenate([np.atleast_1d(e[1]) for e in ends], axis=axis),
+    )
+
+
+def sqr(x):
+    """Elementwise square of a float or interval array."""
+    return x.sqr() if isinstance(x, IntervalArray) else x * x
+
+
+def matmul(A, X) -> IntervalArray:
+    """Enclosure of {A @ x : x in X} for a float matrix (or vector) A.
+
+    Midpoint-radius product (S. M. Rump, "Fast and parallel interval
+    arithmetic", BIT 39, 1999) with two float matrix products.  With
+    X = <m, r>, inner dimension n, u = 2**-53 and eta = 2**-1074,
+
+        A x  in  fl(A m) +- R,
+        R >= |A| r + gamma_n |A| |m| + 2 n eta,
+
+    since any evaluation order of an n-term dot product errs by at most
+    gamma_n |a|^T |m| plus n underflows of eta/2 each.  R is computed as
+    fl(|A| (r + gamma_n |m|)) times (1 + 2 gamma_{n+4}), which absorbs the
+    rounding of that computation itself, plus an underflow term
+    eta (4n + 4)(1 + max|A|); the endpoints fl(A m) -+ R are then rounded
+    one ulp outward.  Where every product a_ik x_kj has an exactly zero
+    factor the result entry is an exact zero: no rounding and no underflow
+    term are applied there.
+    """
+    A = np.asarray(A, dtype=float)
+    X = X if isinstance(X, IntervalArray) else IntervalArray.from_object(X)
+    n = A.shape[-1]
+    mid, rad = X._midrad()
+    center = A @ mid
+    abs_a = np.abs(A)
+    R = (abs_a @ (rad + _gamma(n) * np.abs(mid))) * (1.0 + 2.0 * _gamma(n + 4))
+    touched = (A != 0.0) @ ((mid != 0.0) | (rad != 0.0))
+    underflow = _ETA * (4.0 * n + 4.0) * (1.0 + (float(abs_a.max()) if abs_a.size else 0.0))
+    R = R + np.where(touched, underflow, 0.0)
+    rounded = R != 0.0
+    return IntervalArray._mk(
+        np.where(rounded, _down_arr(center - R), center), np.where(rounded, _up_arr(center + R), center)
+    )
+
+
+def sup_norm(X: IntervalArray) -> float:
+    """Upper bound of the sup norm of every point vector (1-d) or of the
+    induced sup norm of every point matrix (2-d) in X."""
+    if X.lo.size == 0:
+        return 0.0
+    mag = X.mag()
+    if X.ndim == 1:
+        return float(mag.max())
+    # a sum of k nonnegative terms errs by at most gamma_{k-1} times itself
+    rows = mag.sum(axis=-1)
+    return float(np.where(rows != 0.0, _up_arr(rows * (1.0 + 2.0 * _gamma(X.shape[-1] + 1))), 0.0).max())
+
+
+def contraction_defect(A, M) -> float:
+    """Upper bound of ||I - A M|| in the induced sup norm for every point
+    matrix in M (A a float matrix, the product by ``matmul``)."""
+    return sup_norm(np.eye(np.shape(A)[0]) - matmul(A, M))
+
+
 class InverseEnclosure:
     """Result of verify_invertible: enclosure of the inverse plus the defect."""
 
@@ -741,24 +1160,21 @@ def verify_invertible(M: IntervalMatrix) -> InverseEnclosure:
         raise ShapeError("verify_invertible requires a square matrix")
     if r == 0:
         return InverseEnclosure(IntervalMatrix(np.empty((0, 0), dtype=object)), 0.0)
-    mid = M.mid()
+    X = IntervalArray.from_object(M.data)
     try:
-        R = np.linalg.inv(mid)
+        R = np.linalg.inv(X.mid)
     except np.linalg.LinAlgError as exc:
         raise NotVerified(f"approximate inversion failed: {exc}") from None
     if not np.all(np.isfinite(R)):
         raise NotVerified("approximate inverse is not finite")
-    Ri = IntervalMatrix.from_floats(R)
-    E = IntervalMatrix.identity(r) - mat_mul(Ri, M)
-    beta = norm_sup_matrix(E).hi
+    beta = contraction_defect(R, X)
     if not beta < 1.0:
         raise NotVerified(f"contraction defect {beta} >= 1")
     # ||inv(M) - R||_sup <= ||R||_sup * beta / (1 - beta), applied entrywise.
-    norm_r = norm_sup_matrix(Ri).hi
+    norm_r = sup_norm(IntervalArray(R))
     slack = (Interval(norm_r) * beta) / (Interval(1.0) - Interval(beta))
-    pad = Interval(-slack.hi, slack.hi)
-    enclosure = IntervalMatrix(Ri.data + pad)
-    return InverseEnclosure(enclosure, beta)
+    enclosure = IntervalArray(R) + IntervalArray(-slack.hi, slack.hi)
+    return InverseEnclosure(IntervalMatrix(enclosure.to_object()), beta)
 
 
 def _cdet_lu(A: np.ndarray, n: int) -> ComplexInterval | None:

@@ -1,9 +1,11 @@
 """Point-vortex mathematics on the unit sphere, with ring-symmetric reduction.
 
 Everything here is evaluable both over plain floats (numpy float64 arrays)
-and over rigorous intervals (numpy object arrays of Interval); the same
-code path serves both, so the certified pipeline and the numeric pipeline
-cannot drift apart.
+and over rigorous intervals (numpy object arrays of Interval, or an
+IntervalArray); the same code path serves both, so the certified pipeline
+and the numeric pipeline cannot drift apart.  The ring-reduced gradient and
+Hessians run vectorised over rotations x ring pairs x poles; they convert
+object-array input to an IntervalArray once at entry and return one.
 
 Conventions:
   * Identical vortex strengths use the scaled Hamiltonian
@@ -38,6 +40,7 @@ __all__ = [
     "RingSystem",
     "COLLISION_TOL",
     "J3",
+    "j3_rows",
     "hamiltonian_H",
     "momentum_Phi",
     "vortex_rhs",
@@ -52,7 +55,6 @@ __all__ = [
     "lagrangian_hstar",
     "grad_hstar",
     "hess_hstar",
-    "full_multipliers",
     "full_hstar_hessian",
     "HessStarResult",
     "integrate_full_rk4",
@@ -71,6 +73,12 @@ COLLISION_TOL = 1e-9
 J3 = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 E3 = np.array([0.0, 0.0, 1.0])
+
+
+def j3_rows(U):
+    """J3 u = (-u_y, u_x, 0) for every row u of an (n, 3) float or interval
+    array, with an exact zero third component."""
+    return iv.stack([-U[:, 1], U[:, 0], np.zeros(U.shape[0])], -1)
 
 
 class HamiltonianScale(Enum):
@@ -102,7 +110,7 @@ class VortexParameters:
 
 
 def _is_interval(arr) -> bool:
-    return isinstance(arr, np.ndarray) and arr.dtype == object
+    return isinstance(arr, iv.IntervalArray) or (isinstance(arr, np.ndarray) and arr.dtype == object)
 
 
 def to_interval_array(x) -> np.ndarray:
@@ -449,30 +457,114 @@ def pole_offset(p: int) -> float:
     return 1.0 if p == 1 else 0.0
 
 
-def grad_h(ring_or_u, m=None, p=None) -> np.ndarray:
-    """Gradient of h as an (n, 3) array (three-sum formula)."""
+# The ring sums of grad_h and hess_h run as one vectorised code path over
+# rotations x ring pairs x poles, for float ndarrays and IntervalArrays
+# alike.  Generator j interacts with the m*n + p - 1 "sources"
+# g^i u_jp (i = 1..m, every jp, except g^m u_j = u_j itself) and the poles.
+
+
+@lru_cache(maxsize=64)
+def _ring_trig(m: int, interval_mode: bool):
+    """(3, m-1) rows cos, sin and 1 - cos of 2*pi*i/m for i = 1..m-1."""
+    cs = np.array([_cos_sin_frac(i, m, interval_mode) for i in range(1, m)], dtype=object).reshape(m - 1, 2).T
+    c, s = iv.as_array(cs) if interval_mode else cs.astype(float)
+    return iv.stack([c, s, 1.0 - c])
+
+
+@lru_cache(maxsize=64)
+def _rotation_frames(m: int, interval_mode: bool):
+    """(2m-1, 3, 3) stack [I, g^1..g^(m-1), I - g^1..I - g^(m-1)] with exact
+    zeros and ones where the rotation about e3 has them."""
+    c, s, one_minus_c = _ring_trig(m, interval_mode)
+    zero, one = np.zeros(m - 1), np.ones(m - 1)
+    g = iv.stack([iv.stack([c, -s, zero], -1), iv.stack([s, c, zero], -1), iv.stack([zero, zero, one], -1)], -2)
+    eye_minus_g = iv.stack(
+        [
+            iv.stack([one_minus_c, s, zero], -1),
+            iv.stack([-s, one_minus_c, zero], -1),
+            iv.stack([zero, zero, zero], -1),
+        ],
+        -2,
+    )
+    return iv.concatenate([np.eye(3)[None], g, eye_minus_g])
+
+
+@lru_cache(maxsize=64)
+def _pair_tables(m: int, n: int, p: int):
+    """Index tables of the source sums.
+
+    src[j, e]      source row (rotation-major, then poles) of entry e of
+                   generator j;
+    diag_frame     frame index of the diagonal-block term of each entry:
+                   I - g^i for the self-ring terms, I otherwise;
+    cross[j, q, i] entry of generator j for its q-th other generator jp and
+                   rotation g^(i+1); others[j, q] is that jp;
+    cross_frame[i] frame index of g^(i+1) (g^m = I).
+    """
+    skip = np.arange(n) + (m - 1) * n
+    src = np.array([np.delete(np.arange(m * n + p), k) for k in skip]).reshape(n, m * n + p - 1)
+    rot = src // n + 1
+    self_term = (src < m * n) & (src % n == np.arange(n)[:, None])
+    diag_frame = np.where(self_term, m - 1 + rot, 0)
+    others = np.array([[q for q in range(n) if q != j] for j in range(n)], dtype=int).reshape(n, n - 1)
+    k = np.arange(m)[None, None, :] * n + others[:, :, None]
+    cross = np.where(k < skip[:, None, None], k, k - 1)
+    cross_frame = np.where(np.arange(1, m + 1) < m, np.arange(1, m + 1), 0)
+    return src, diag_frame, others, cross, cross_frame
+
+
+def _dist_sq(D):
+    """|d|^2 over the last axis, rejecting (near-)collisions."""
+    s = iv.sqr(D).sum(axis=-1)
+    if isinstance(s, iv.IntervalArray):
+        if np.any(s.lo <= COLLISION_TOL**2):
+            raise DomainError("interval distance cannot be bounded away from collision")
+    elif np.any(s < COLLISION_TOL**2):
+        raise DomainError("configuration within collision tolerance")
+    return s
+
+
+def _source_differences(U, m: int, p: int):
+    """d[j, e] = u_j - (source e of generator j) and |d|^2.
+
+    The sources are g^1 u, ..., g^(m-1) u, u (rotation-major) and the
+    poles.  Self-ring differences are formed as (I - g^i) u_j, which keeps
+    their e3 component an exact zero."""
+    n = U.shape[0]
+    # one product for every (cos, sin, 1 - cos) x (x, y) pair
+    f = _ring_trig(m, isinstance(U, iv.IntervalArray)).reshape(3, m - 1, 1, 1) * U[:, :2].T
+    (cx, cy), (sx, sy), (c1x, c1y) = f.transpose(0, 2, 1, 3)
+    rotated = iv.stack([cx - sy, sx + cy, U[:, 2]], -1)
+    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])[:p]
+    sources = iv.concatenate([rotated.reshape(-1, 3), U, poles])
+    D = U[:, None, :] - sources[_pair_tables(m, n, p)[0]]
+    if m > 1:
+        self_d = iv.stack([c1x + sy, c1y - sx, np.zeros((m - 1, n))], -1)
+        j = np.arange(n)[:, None]
+        D[j, np.arange(m - 1) * n + j] = self_d.transpose(1, 0, 2)
+    return D, _dist_sq(D)
+
+
+def _frame_blocks(L, D, s, s2, joint: bool):
+    """Per entry, the frame-L derivative L/s - 2 d (L^T d)^T / s^2 of the
+    d/|d|^2 terms; as (L s - 2 d (L^T d)^T) / s^2 when ``joint``.
+
+    The two interval forms agree in value, not in width.  hess_h uses the
+    split form on the diagonal blocks and the joint form off them, which
+    keeps the enclosure widths, and so the contraction bounds, of the
+    per-block scalar evaluation."""
+    LtD = (L * D[..., :, None]).sum(axis=-2)
+    rank1 = 2.0 * (D[..., :, None] * LtD[..., None, :])
+    s, s2 = s[..., None, None], s2[..., None, None]
+    return (L * s - rank1) / s2 if joint else L / s - rank1 / s2
+
+
+def grad_h(ring_or_u, m=None, p=None):
+    """Gradient of h as an (n, 3) array (three-sum formula); an IntervalArray
+    for interval input."""
     u, m, p = _ring_args(ring_or_u, m, p)
-    n = u.shape[0]
-    interval_mode = _is_interval(u)
-    g = ring_rotations(m, interval_mode)
-    poles = _poles(p, interval_mode)
-    out = np.empty((n, 3), dtype=object if interval_mode else float)
-    for j in range(n):
-        acc = np.array([_zero(interval_mode)] * 3, dtype=object if interval_mode else float)
-        for i in range(1, m):
-            d = u[j] - g[i] @ u[j]
-            acc = acc + d / _check_dist_sq(_norm_sq(d))
-        for jp in range(n):
-            if jp == j:
-                continue
-            for i in range(1, m + 1):
-                d = u[j] - g[i] @ u[jp]
-                acc = acc + d / _check_dist_sq(_norm_sq(d))
-        for f in poles:
-            d = u[j] - f
-            acc = acc + d / _check_dist_sq(_norm_sq(d))
-        out[j] = acc * (-float(m))
-    return out
+    D, s = _source_differences(iv.as_array(u), m, p)
+    return (D / s[..., None]).sum(axis=1) * (-float(m))
 
 
 def _outer(a, b):
@@ -490,60 +582,31 @@ def _eye3(interval_mode: bool):
     return np.eye(3)
 
 
-def hess_h(ring_or_u, m=None, p=None) -> np.ndarray:
-    """Hessian of h as a (3n, 3n) array of 3x3 blocks.
+def hess_h(ring_or_u, m=None, p=None):
+    """Hessian of h as a (3n, 3n) array of 3x3 blocks (an IntervalArray for
+    interval input).
 
     The self-ring diagonal contribution carries a minus sign on the rank-one
     part, D(Mu/||Mu||^2) = M/||Mu||^2 - 2 Mu (Mu)^T M / ||Mu||^4; this is the
     derivative the gradient formula actually has (confirmed against finite
-    differences of grad_h).
+    differences of grad_h).  Cross-ring terms give -m (I/s - 2dd^T/s^2) on
+    the diagonal and m (g/s - 2d(g^T d)^T/s^2) on the off-diagonal block.
     """
     u, m, p = _ring_args(ring_or_u, m, p)
-    n = u.shape[0]
-    interval_mode = _is_interval(u)
-    g = ring_rotations(m, interval_mode)
-    poles = _poles(p, interval_mode)
-    eye = _eye3(interval_mode)
-    H = np.empty((3 * n, 3 * n), dtype=object if interval_mode else float)
-    if interval_mode:
-        H[:, :] = Interval(0.0)
-    else:
-        H[:, :] = 0.0
-
-    for j in range(n):
-        # off-diagonal blocks
-        for jp in range(n):
-            if jp == j:
-                continue
-            blk = np.full((3, 3), _zero(interval_mode), dtype=object if interval_mode else float)
-            for i in range(1, m + 1):
-                d = u[j] - g[i] @ u[jp]
-                s = _check_dist_sq(_norm_sq(d))
-                s2 = s.sqr() if interval_mode else s * s
-                blk = blk + (g[i] * s - 2.0 * (_outer(d, d) @ g[i])) / s2
-            H[3 * j : 3 * j + 3, 3 * jp : 3 * jp + 3] = blk * float(m)
-        # diagonal block
-        blk = np.full((3, 3), _zero(interval_mode), dtype=object if interval_mode else float)
-        for i in range(1, m):
-            M = eye - g[i]
-            d = M @ u[j]
-            s = _check_dist_sq(_norm_sq(d))
-            rank1 = _outer(d, d) @ M
-            blk = blk + (M / s - (2.0 * rank1) / (s.sqr() if interval_mode else s * s))
-        acc2 = np.full((3, 3), _zero(interval_mode), dtype=object if interval_mode else float)
-        for jp in range(n):
-            if jp == j:
-                continue
-            for i in range(1, m + 1):
-                d = u[j] - g[i] @ u[jp]
-                s = _check_dist_sq(_norm_sq(d))
-                acc2 = acc2 + (eye / s - (2.0 * _outer(d, d)) / (s.sqr() if interval_mode else s * s))
-        for f in poles:
-            d = u[j] - f
-            s = _check_dist_sq(_norm_sq(d))
-            acc2 = acc2 + (eye / s - (2.0 * _outer(d, d)) / (s.sqr() if interval_mode else s * s))
-        H[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = (blk + acc2) * (-float(m))
-    return H
+    U = iv.as_array(u)
+    n = U.shape[0]
+    _, diag_frame, others, cross, cross_frame = _pair_tables(m, n, p)
+    frames = _rotation_frames(m, isinstance(U, iv.IntervalArray))
+    D, s = _source_differences(U, m, p)
+    s2 = iv.sqr(s)
+    blocks = iv.zeros((n, n, 3, 3), like=U)
+    rows = np.arange(n)
+    blocks[rows, rows] = _frame_blocks(frames[diag_frame], D, s, s2, False).sum(axis=1) * (-float(m))
+    if n > 1:
+        j = rows[:, None, None]
+        off = _frame_blocks(frames[cross_frame], D[j, cross], s[j, cross], s2[j, cross], True)
+        blocks[rows[:, None], others] = off.sum(axis=2) * float(m)
+    return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
 
 
 def reduced_rhs(ring_or_u, m=None, p=None) -> np.ndarray:
@@ -581,24 +644,18 @@ def lagrangian_hstar(u, lam, omega, m, p):
     return val + acc * (float(m) / 2.0)
 
 
-def grad_hstar(u, lam, omega, m, p) -> np.ndarray:
-    u = u if _is_interval(u) else np.asarray(u, dtype=float)
-    out = grad_h(u, m, p)
-    for j in range(u.shape[0]):
-        out[j] = out[j] + float(m) * (lam[j] * u[j])
-        out[j][2] = out[j][2] - omega * float(m)
+def grad_hstar(u, lam, omega, m, p):
+    U, lam = iv.as_array(u), iv.as_array(lam)
+    out = grad_h(U, m, p) + float(m) * (lam[:, None] * U)
+    out[:, 2] = out[:, 2] - omega * float(m)
     return out
 
 
-def hess_hstar(u, lam, omega, m, p) -> np.ndarray:
-    u = u if _is_interval(u) else np.asarray(u, dtype=float)
-    interval_mode = _is_interval(u)
-    H = hess_h(u, m, p)
-    eye = _eye3(interval_mode)
-    for j in range(u.shape[0]):
-        H[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = H[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] + eye * (
-            float(m) * lam[j]
-        )
+def hess_hstar(u, lam, omega, m, p):
+    U, lam = iv.as_array(u), iv.as_array(lam)
+    H = hess_h(U, m, p)
+    k = np.arange(H.shape[0])
+    H[k, k] = H[k, k] + float(m) * lam[k // 3]
     return H
 
 
@@ -621,18 +678,6 @@ def _grad_full_Homega(vecs, omega):
         acc = -acc
         acc[2] = acc[2] - omega
         out[j] = acc
-    return out
-
-
-def full_multipliers(v, omega) -> np.ndarray:
-    """c_j = v_j . grad_j H_omega (stationarity projected on the constraint)."""
-    vecs = _as_vectors(v)
-    grad = _grad_full_Homega(vecs, omega)
-    N = vecs.shape[0]
-    interval_mode = _is_interval(vecs)
-    out = np.empty(N, dtype=object if interval_mode else float)
-    for j in range(N):
-        out[j] = _dot(vecs[j], grad[j])
     return out
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import intervals as iv
-from .intervals import ComplexInterval, DomainError, Interval, NotVerified
+from .intervals import ComplexInterval, DomainError, Interval, IntervalArray, NotVerified
 from .model import (
     J3,
     RingSystem,
@@ -589,36 +589,10 @@ def assemble_blocks(basis: SliceBasis, hess: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _norm_sup_vec(v: np.ndarray) -> float:
-    return max(e.mag for e in v) if len(v) else 0.0
-
-
-def _norm_sup_mat(M: np.ndarray) -> float:
-    best = 0.0
-    for i in range(M.shape[0]):
-        acc = Interval(0.0)
-        for e in M[i]:
-            acc = acc + e.mag
-        best = max(best, acc.hi)
-    return best
-
-
-def _eye_obj(d: int) -> np.ndarray:
-    out = np.empty((d, d), dtype=object)
-    out[:, :] = Interval(0.0)
-    for i in range(d):
-        out[i, i] = Interval(1.0)
-    return out
-
-
 def _as_interval_mat(M: np.ndarray) -> np.ndarray:
     if M.dtype == object:
         return M
     return to_interval_array(M)
-
-
-def _pad_interval(x: Interval, r: float) -> Interval:
-    return Interval(math.nextafter(x.lo - r, -math.inf), math.nextafter(x.hi + r, math.inf))
 
 
 def _real_eig_system(Mre: np.ndarray, lam: Interval, v: np.ndarray, vbar: np.ndarray, jk: int):
@@ -684,26 +658,19 @@ def _nk_for_eigen(G_at, DG_at, x_mid: np.ndarray, r_start: float):
     G_at(x_vec_of_intervals) and DG_at(...) evaluate the map and Jacobian;
     returns the certified radius r0 or raises NotIsolated.
     """
-    d = len(x_mid)
     x_iv = to_interval_array(x_mid)
     G0, DG0 = G_at(x_iv), DG_at(x_iv)
-    DG_mid = np.array([[e.mid for e in row] for row in DG0])
     try:
-        A = np.linalg.inv(DG_mid)
+        A = np.linalg.inv(iv.as_array(DG0).mid)
     except np.linalg.LinAlgError:
         raise NotIsolated("bordered Jacobian is numerically singular") from None
     if not np.all(np.isfinite(A)):
         raise NotIsolated("bordered Jacobian inverse is not finite")
-    A_obj = to_interval_array(A)
-    Y = _norm_sup_vec(A_obj @ G0)
+    Y = iv.sup_norm(iv.matmul(A, G0))
+    center = IntervalArray(x_mid)
     r = r_start
     while True:
-        box = np.empty(d, dtype=object)
-        for i in range(d):
-            box[i] = _pad_interval(x_iv[i], r)
-        DG_box = DG_at(box)
-        E = _eye_obj(d) - A_obj @ DG_box
-        Z = _norm_sup_mat(E)
+        Z = iv.contraction_defect(A, DG_at(center.pad(r).to_object()))
         if Z < 1.0:
             r0 = max((Y / (1.0 - Z)) * 1.01, 1e-300)
             if r0 <= r:

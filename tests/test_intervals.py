@@ -7,6 +7,7 @@ suites draw nested random operands and assert inclusion monotonicity.
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from vortexcert.intervals import (
     ComplexInterval,
     DomainError,
     Interval,
+    IntervalArray,
     IntervalMatrix,
     IntervalVector,
     NotVerified,
@@ -307,3 +309,124 @@ class TestSerialization:
         obj = ivl(1.5).to_json()
         assert set(obj) == {"lo", "hi"}
         assert float.fromhex(obj["lo"]) == 1.5
+
+
+# ---------------------------------------------------------------------------
+# IntervalArray and the float-matrix product kernel
+# ---------------------------------------------------------------------------
+
+wide_floats = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e150, max_value=1e150)
+
+
+def _pairs(pairs):
+    lo = np.array([min(a, b) for a, b in pairs])
+    hi = np.array([max(a, b) for a, b in pairs])
+    return IntervalArray(lo, hi), [ivl(a, b) for a, b in zip(lo, hi)]
+
+
+def _encloses(arr, scalars):
+    return all(arr.lo[i] <= s.lo and s.hi <= arr.hi[i] for i, s in enumerate(scalars))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")  # quotients may round to +-inf
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(wide_floats, wide_floats), min_size=1, max_size=6), st.data())
+def test_interval_array_ops_contain_scalar_results(xs, data):
+    """Every elementwise IntervalArray operation encloses the scalar Interval
+    result on the same endpoints."""
+    ys = data.draw(st.lists(st.tuples(wide_floats, wide_floats), min_size=len(xs), max_size=len(xs)))
+    a, sa = _pairs(xs)
+    b, sb = _pairs(ys)
+    c = data.draw(wide_floats)
+    assert _encloses(a + b, [x + y for x, y in zip(sa, sb)])
+    assert _encloses(a - b, [x - y for x, y in zip(sa, sb)])
+    assert _encloses(a * b, [x * y for x, y in zip(sa, sb)])
+    assert _encloses(a * c, [x * c for x in sa])
+    assert _encloses(c - a, [c - x for x in sa])
+    assert _encloses(a.sqr(), [x.sqr() for x in sa])
+    assert _encloses(-a, [-x for x in sa])
+    if not any(y.contains_zero() for y in sb):
+        assert _encloses(a / b, [x / y for x, y in zip(sa, sb)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(wide_floats, wide_floats), min_size=1, max_size=12))
+def test_interval_array_sum_encloses_exact_sum(xs):
+    a, _ = _pairs(xs)
+    s = a.sum()
+    assert Fraction(s.lo) <= sum(map(Fraction, a.lo)) and sum(map(Fraction, a.hi)) <= Fraction(s.hi)
+
+
+def test_interval_array_exact_zeros_and_object_round_trip():
+    z = IntervalArray(np.zeros(3))
+    x = IntervalArray([1.0, -2.0, 3.0], [1.5, -1.0, 3.0])
+    for r in (z * x, x * z, z / x, z + z, z.sqr(), z * 7.3, np.ones((2, 3)) @ z):
+        assert np.all(r.lo == 0.0) and np.all(r.hi == 0.0)
+    obj = x.to_object()
+    assert obj.dtype == object and obj[1] == ivl(-2.0, -1.0)
+    back = IntervalArray.from_object(obj)
+    assert np.array_equal(back.lo, x.lo) and np.array_equal(back.hi, x.hi)
+    assert IntervalMatrix(IntervalArray(np.eye(2))).shape == (2, 2)
+    assert x[1] == ivl(-2.0, -1.0)
+
+
+def _mixed_floats(rng, shape):
+    """Exact zeros, subnormal-to-tiny, moderate and huge magnitudes."""
+    kind = rng.integers(0, 4, size=shape)
+    exps = np.choose(kind, [rng.integers(-1074, -990, shape), rng.integers(-30, 30, shape),
+                            rng.integers(100, 150, shape), np.zeros(shape, dtype=int)])
+    return np.where(kind == 3, 0.0, np.ldexp(rng.uniform(-1.0, 1.0, shape), exps))
+
+
+def _random_product(seed, n):
+    rng = np.random.default_rng(seed)
+    k, q = rng.integers(1, 4, size=2)
+    A = _mixed_floats(rng, (k, n))
+    mid = _mixed_floats(rng, (n, q))
+    rad = np.abs(mid) * np.where(rng.uniform(size=(n, q)) < 0.5, 0.0, rng.uniform(0, 1e-6, (n, q)))
+    return A, IntervalArray(mid - rad, mid + rad)
+
+
+def _kernel_misses(A, X) -> int:
+    """Entries of matmul(A, X) that miss the exact range of A @ x over X."""
+    out = iv.matmul(A, X)
+    misses = 0
+    for i in range(A.shape[0]):
+        for j in range(X.shape[1]):
+            terms = [(Fraction(a) * Fraction(l), Fraction(a) * Fraction(h))
+                     for a, l, h in zip(A[i], X.lo[:, j], X.hi[:, j])]
+            lo = sum(min(t) for t in terms)
+            hi = sum(max(t) for t in terms)
+            misses += not (Fraction(out.lo[i, j]) <= lo and hi <= Fraction(out.hi[i, j]))
+    return misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 45), st.integers(0, 2**32 - 1))
+def test_matmul_encloses_exact_product(n, seed):
+    """The midpoint-radius kernel contains the exact product range of random
+    1..45-dimensional matrices with zero, tiny, moderate and huge entries."""
+    A, X = _random_product(seed, n)
+    assert _kernel_misses(A, X) == 0
+
+
+def test_matmul_without_rounding_term_fails(monkeypatch):
+    """Planted fault: with gamma_n forced to zero the enclosure check must
+    catch the missing rounding-error term."""
+    cases = [_random_product(seed, 45) for seed in range(12)]
+    assert sum(_kernel_misses(A, X) for A, X in cases) == 0
+    monkeypatch.setattr(iv, "_gamma", lambda n: 0.0)
+    assert sum(_kernel_misses(A, X) for A, X in cases) > 0
+
+
+def test_contraction_defect_bounds_exact_norm():
+    for _ in range(5):
+        M = RNG.normal(size=(6, 6)) + 3.0 * np.eye(6)
+        R = np.linalg.inv(M)
+        exact = max(
+            sum(abs((1 if i == j else 0) - sum(Fraction(R[i, k]) * Fraction(M[k, j]) for k in range(6)))
+                for j in range(6))
+            for i in range(6)
+        )
+        beta = iv.contraction_defect(R, IntervalArray(M))
+        assert exact <= Fraction(beta) and beta < 1e-12

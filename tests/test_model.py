@@ -9,7 +9,7 @@ import pytest
 
 from vortexcert import catalog as cat
 from vortexcert import model as md
-from vortexcert.intervals import DomainError, Interval
+from vortexcert.intervals import DomainError, Interval, IntervalArray
 
 SEED = int(os.environ.get("VORTEX_CERT_SEED", "0"))
 RNG = np.random.default_rng(SEED)
@@ -295,6 +295,24 @@ class TestDerivatives:
             H = np.asarray(md.hess_h(u, m, p), dtype=float)
             assert np.max(np.abs(H - fd_hess_h(u, m, p))) <= 1e-5
             count += 1
+
+    @pytest.mark.parametrize("mnp", [(2, 2, 0), (3, 2, 1), (4, 1, 2), (5, 2, 0), (3, 3, 0)])
+    def test_interval_derivatives_contain_sampled_floats(self, mnp):
+        """Interval grad_h/hess_h on a small random box contain the float
+        values at 24 points sampled inside it (the cases of criterion 7a)."""
+        m, n, p = mnp
+        rng = np.random.default_rng(SEED + 7 * m + n + p)
+        u = np.asarray(random_ring(m, n, p, rng=rng).generators, dtype=float)
+        r = 10.0 ** rng.uniform(-8, -3)
+        box = IntervalArray(u - r, u + r)
+        G = md.grad_h(box.to_object(), m, p)
+        H = md.hess_h(box, m, p)
+        assert isinstance(G, IntervalArray) and isinstance(H, IntervalArray)
+        for _ in range(24):
+            v = u + rng.uniform(-r, r, size=u.shape)
+            g, h = md.grad_h(v, m, p), md.hess_h(v, m, p)
+            assert np.all(G.lo <= g) and np.all(g <= G.hi)
+            assert np.all(H.lo <= h) and np.all(h <= H.hi)
 
     def test_tangential_gradient_vanishes_at_equilibria(self):
         for name in ("antiprism8", "triaugmented9", "gyro10"):
