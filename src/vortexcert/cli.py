@@ -218,13 +218,22 @@ def _load_chain(path: str) -> tuple:
         data = json.load(f)
     if isinstance(data, dict):
         data = [data]
+    if not isinstance(data, list):
+        raise CliError(f"{path}: a chain is a JSON object or a list of objects")
     certs = []
     stall = None
-    for obj in data:
+    for i, obj in enumerate(data):
+        if not isinstance(obj, dict):
+            raise CliError(f"{path}: chain entry {i} is not an object")
         if obj.get("status") == "stalled":
             stall = obj.get("omega")
             continue
-        certs.append(cont.BranchCertificate.from_json(obj))
+        try:
+            certs.append(cont.BranchCertificate.from_json(obj))
+        except KeyError as exc:
+            raise CliError(f"{path}: chain entry {i} lacks the field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"{path}: chain entry {i} is malformed: {exc}") from None
     return certs, stall
 
 

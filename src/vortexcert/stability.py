@@ -507,20 +507,6 @@ class BlockMatrix:
         imid = np.array([[e.mid for e in row] for row in self.im])
         return rm + 1j * imid
 
-    def to_cinterval(self) -> np.ndarray:
-        """Object array of ComplexInterval for determinant work."""
-        d = self.size
-        out = np.empty((d, d), dtype=object)
-        for i in range(d):
-            for j in range(d):
-                rr = self.re[i, j] if self.interval_mode else Interval(float(self.re[i, j]))
-                if self.im is None:
-                    out[i, j] = ComplexInterval(rr, Interval(0.0))
-                else:
-                    ii = self.im[i, j] if self.interval_mode else Interval(float(self.im[i, j]))
-                    out[i, j] = ComplexInterval(rr, ii)
-        return out
-
     def realified(self) -> np.ndarray:
         """[[Re, -Im], [Im, Re]] with the same definiteness/kernel doubling."""
         if self.im is None:
@@ -733,57 +719,93 @@ def validate_simple_eigenpair(block: BlockMatrix, lam_bar: float, v_bar: np.ndar
 # ---------------------------------------------------------------------------
 
 
-def _char_poly(cmat: np.ndarray) -> list:
+_BATCH = 32  # boundary boxes per stacked evaluation; bounds its memory
+
+
+def _block_intervals(block: BlockMatrix) -> tuple:
+    """The block as a pair (re, im) of d x d IntervalArrays."""
+
+    def as_intervals(x):
+        x = iv.as_array(x)
+        return x if isinstance(x, IntervalArray) else IntervalArray(x)
+
+    re = as_intervals(block.re)
+    return re, as_intervals(np.zeros(re.shape) if block.im is None else block.im)
+
+
+def _char_poly(cmat: tuple) -> tuple:
     """Coefficients of det(zI - M) = z^d + p1 z^{d-1} + ... + pd by the
-    Faddeev-LeVerrier recursion, as ComplexInterval enclosures.
+    Faddeev-LeVerrier recursion, for M given as a pair (re, im) of d x d
+    IntervalArrays; returns the pair (re, im) of coefficient arrays (p1..pd).
 
     The recursion only multiplies copies of the (thin) input matrix, so the
     enclosure widths stay proportional to the input widths; evaluating the
     polynomial at a boundary cell is then far tighter than running an
-    interval LU with the cell's shift on the diagonal.
+    interval LU with the cell's shift on the diagonal.  The matrix products
+    sum over the inner index left to right, like an object-array ``@`` of
+    ComplexIntervals.
     """
-    d = cmat.shape[0]
-    eye = np.empty((d, d), dtype=object)
-    zero = ComplexInterval(0.0)
-    one = ComplexInterval(1.0)
-    eye[:, :] = zero
-    for i in range(d):
-        eye[i, i] = one
+    re, im = cmat
+    d = re.shape[0]
+    diag = np.arange(d)
     coeffs = []
-    Mk = cmat.copy()
+    Mk = cmat
     for k in range(1, d + 1):
         tr = ComplexInterval(0.0)
         for i in range(d):
-            tr = tr + Mk[i, i]
+            tr = tr + ComplexInterval(Mk[0][i, i], Mk[1][i, i])
         pk = -(tr) if k == 1 else ComplexInterval(tr.re / (-float(k)), tr.im / (-float(k)))
         coeffs.append(pk)
         if k < d:
-            Mk = cmat @ (Mk + eye * pk)
-    return coeffs
+            # Mk + I pk, then M @ (Mk + I pk)
+            shift = ComplexInterval(1.0) * pk
+            B = [IntervalArray(x.lo, x.hi) for x in Mk]
+            for part, s in zip(B, (shift.re, shift.im)):
+                part[diag, diag] = part[diag, diag] + s
+            terms = iv.complex_mul((re[:, :, None], im[:, :, None]), (B[0][None], B[1][None]))
+            Mk = (terms[0][:, 0], terms[1][:, 0])
+            for j in range(1, d):
+                Mk = (Mk[0] + terms[0][:, j], Mk[1] + terms[1][:, j])
+    return iv.stack([c.re for c in coeffs]), iv.stack([c.im for c in coeffs])
 
 
-def _poly_det(coeffs: list, d: int, z: ComplexInterval) -> ComplexInterval:
-    """det(M - zI) = (-1)^d [z^d + p1 z^{d-1} + ... + pd] via Horner."""
-    acc = ComplexInterval(1.0)
-    for c in coeffs:
-        acc = acc * z + c
-    if d % 2:
-        acc = -acc
-    return acc
+def _poly_at(poly: tuple, z: tuple) -> tuple:
+    """det(M - zI) = (-1)^d [z^d + p1 z^{d-1} + ... + pd] by Horner at each
+    box of the stack z = (re, im) (IntervalArrays of shape (C,))."""
+    d = poly[0].shape[0]
+    acc = (IntervalArray(np.ones(z[0].shape)), IntervalArray(np.zeros(z[0].shape)))
+    for k in range(d):
+        acc = iv.complex_mul(acc, z)
+        acc = (acc[0] + poly[0][k], acc[1] + poly[1][k])
+    return (-acc[0], -acc[1]) if d % 2 else acc
 
 
-def _det_shifted(cmat: np.ndarray, z: ComplexInterval, poly: list | None = None) -> ComplexInterval:
-    d = cmat.shape[0]
-    if poly is not None:
-        enc = _poly_det(poly, d, z)
-        if not enc.contains_zero():
-            return enc
-        # cancellation in the polynomial (e.g. near-kernel windows): the
-        # pivot products of the interval LU keep tiny factors multiplicative
-    shifted = cmat.copy()
-    for i in range(d):
-        shifted[i, i] = shifted[i, i] - z
-    return iv.complex_det_enclosure(shifted)
+def _det_at(cmat: tuple, poly: tuple, z: tuple) -> tuple:
+    """Enclosures (re, im) of det(M - zI) at each box of z.  The polynomial
+    enclosure is used where it excludes zero; the other boxes (cancellation
+    in the polynomial, e.g. near-kernel windows) go through stacked interval
+    LUs of up to _BATCH shifted matrices, whose pivot products keep tiny
+    factors multiplicative."""
+    d = cmat[0].shape[0]
+    det = _poly_at(poly, z)
+    diag = np.arange(d)
+    zero = np.flatnonzero(_contains_zero(det))
+    for s in range(0, len(zero), _BATCH):
+        redo = zero[s : s + _BATCH]
+        shifted = []
+        for part, zpart in zip(cmat, z):
+            S = IntervalArray(np.broadcast_to(part.lo, (len(redo), d, d)), np.broadcast_to(part.hi, (len(redo), d, d)))
+            S[:, diag, diag] = part[diag, diag][None, :] - zpart[redo][:, None]
+            shifted.append(S)
+        lu = iv.complex_det_enclosure(tuple(shifted))
+        for part, val in zip(det, lu):
+            part[redo] = val
+    return det
+
+
+def _contains_zero(z: tuple) -> np.ndarray:
+    re, im = z
+    return (re.lo <= 0.0) & (re.hi >= 0.0) & (im.lo <= 0.0) & (im.hi >= 0.0)
 
 
 def count_eigenvalues_winding(
@@ -803,7 +825,7 @@ def count_eigenvalues_winding(
     crossings of the positive real axis are summed, with runs of
     undetermined nodes resolved through the sign of the real part.
     """
-    cmat = block.to_cinterval()
+    cmat = _block_intervals(block)
     poly = _char_poly(cmat)
     corners = [
         complex(center - halfwidth, -imag_halfwidth),
@@ -832,61 +854,78 @@ def _winding_once(cmat, poly, corners, mesh: int, mesh_max: int) -> int:
     # the determinant is genuinely as small as (window halfwidth) x (spectral
     # scale), so the required local resolution can be far finer than any flat
     # mesh; an absolute depth cap plus a total budget bounds the work instead.
+    # Each side is refined depth first, the top _BATCH cells of the stack in
+    # one stacked evaluation: going deep first reaches the depth cap of a
+    # window that cannot be resolved after about max_depth evaluations.  The
+    # accepted cells do not depend on the order.  A pending cell ends in at
+    # least one accepted cell (or hits the depth cap), so accepted plus
+    # pending cells above budget + 1 means the cell set would exceed the
+    # budget.
     max_depth = 60
     budget = 64 * mesh_max
     cells = []
     for side in range(4):
         z0 = corners[side]
         z1 = corners[(side + 1) % 4]
-        stack = [(k / mesh, (k + 1) / mesh, 0) for k in reversed(range(mesh))]
+        # the stack holds (t0, t1, depth) with its top, the smallest t, last
+        k = np.arange(mesh)[::-1]
+        t0, t1, depth = k / mesh, (k + 1) / mesh, np.zeros(mesh, dtype=int)
         side_cells = []
-        while stack:
-            if len(cells) + len(side_cells) > budget:
+        while len(t0):
+            if len(cells) + len(side_cells) + len(t0) > budget + 1:
                 raise BoundaryHit("boundary refinement budget exhausted")
-            t0, t1, depth = stack.pop()
-            a = z0 + t0 * (z1 - z0)
-            b = z0 + t1 * (z1 - z0)
-            zbox = ComplexInterval(
-                Interval(min(a.real, b.real), max(a.real, b.real)),
-                Interval(min(a.imag, b.imag), max(a.imag, b.imag)),
+            rest = max(len(t0) - _BATCH, 0)
+            c0, c1, cd = t0[rest:], t1[rest:], depth[rest:]
+            a = z0 + c0 * (z1 - z0)
+            b = z0 + c1 * (z1 - z0)
+            zbox = (
+                IntervalArray(np.minimum(a.real, b.real), np.maximum(a.real, b.real)),
+                IntervalArray(np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)),
             )
-            det = _det_shifted(cmat, zbox, poly)
-            if det.contains_zero():
-                if depth >= max_depth:
-                    raise BoundaryHit(
-                        f"determinant enclosure contains zero on a boundary cell near {a}"
-                    )
-                tm = 0.5 * (t0 + t1)
-                stack.append((tm, t1, depth + 1))
-                stack.append((t0, tm, depth + 1))
-                continue
-            side_cells.append((t0, t1, a, b, det))
+            det = _det_at(cmat, poly, zbox)
+            split = _contains_zero(det)
+            capped = split & (cd >= max_depth)
+            if capped.any():
+                raise BoundaryHit(
+                    f"determinant enclosure contains zero on a boundary cell near {a[capped][0]}"
+                )
+            for i in np.flatnonzero(~split).tolist():
+                ends = (det[0].lo[i], det[0].hi[i], det[1].lo[i], det[1].hi[i])
+                side_cells.append((float(c0[i]), complex(a[i]), *map(float, ends)))
+            # push each split cell's upper half, then its lower half
+            s0, s1 = c0[split], c1[split]
+            tm = 0.5 * (s0 + s1)
+            t0 = np.concatenate([t0[:rest], np.stack([tm, s0], axis=1).reshape(-1)])
+            t1 = np.concatenate([t1[:rest], np.stack([s1, tm], axis=1).reshape(-1)])
+            depth = np.concatenate([depth[:rest], np.repeat(cd[split] + 1, 2)])
         side_cells.sort(key=lambda c: c[0])
         cells.extend(side_cells)
+    if len(cells) > budget + 1:
+        raise BoundaryHit("boundary refinement budget exhausted")
 
+    # A cell is (t0, its start node, re.lo, re.hi, im.lo, im.hi of its
+    # determinant enclosure).
     k = len(cells)
     # Node signs: the node value lies inside both adjacent cell enclosures,
     # so a sign-definite neighbour determines it without a fresh evaluation.
     signs = []
     for i in range(k):
-        prev_det = cells[i - 1][4]
-        cell_det = cells[i][4]
-        if prev_det.im.lo > 0.0 or cell_det.im.lo > 0.0:
+        prev_im, cell_im = cells[i - 1][4:], cells[i][4:]
+        if prev_im[0] > 0.0 or cell_im[0] > 0.0:
             signs.append(1)
-            continue
-        if prev_det.im.hi < 0.0 or cell_det.im.hi < 0.0:
-            signs.append(-1)
-            continue
-        a = cells[i][2]
-        dz = _det_shifted(cmat, ComplexInterval(Interval(a.real), Interval(a.imag)), poly)
-        if dz.contains_zero():
-            raise BoundaryHit(f"determinant enclosure contains zero at node {a}")
-        if dz.im.lo > 0.0:
-            signs.append(1)
-        elif dz.im.hi < 0.0:
+        elif prev_im[1] < 0.0 or cell_im[1] < 0.0:
             signs.append(-1)
         else:
             signs.append(0)
+    nodes = [i for i in range(k) if signs[i] == 0]
+    if nodes:
+        a = np.array([cells[i][1] for i in nodes])
+        dz = _det_at(cmat, poly, (IntervalArray(a.real), IntervalArray(a.imag)))
+        hit = _contains_zero(dz)
+        if hit.any():
+            raise BoundaryHit(f"determinant enclosure contains zero at node {a[hit][0]}")
+        for i, lo, hi in zip(nodes, dz[1].lo.tolist(), dz[1].hi.tolist()):
+            signs[i] = 1 if lo > 0.0 else -1 if hi < 0.0 else 0
     determined = [i for i, s in enumerate(signs) if s != 0]
     if not determined:
         raise _RetryWinding()
@@ -906,11 +945,11 @@ def _winding_once(cmat, poly, corners, mesh: int, mesh_max: int) -> int:
                 break
         re_signs = set()
         for ci in span:
-            det = cells[ci][4]
-            if det.im.lo <= 0.0 <= det.im.hi:
-                if det.re.lo > 0.0:
+            _, _, re_lo, re_hi, im_lo, im_hi = cells[ci]
+            if im_lo <= 0.0 <= im_hi:
+                if re_lo > 0.0:
                     re_signs.add(1)
-                elif det.re.hi < 0.0:
+                elif re_hi < 0.0:
                     re_signs.add(-1)
                 else:
                     raise _RetryWinding()

@@ -141,6 +141,21 @@ class TestContinueAndDiagram:
         assert v["verdict"] == "CertifiedStable"
         assert v["kernel_real_dim"] == 2
 
+    def test_stability_non_object_entry_exit_1(self, tmp_path, capsys):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps([1]))
+        assert run_cli(["stability", chain]) == 1
+        assert "chain entry 0 is not an object" in capsys.readouterr().err
+
+    def test_stability_certificate_without_m_exit_1(self, tmp_path, capsys):
+        cert = tmp_path / "cert.json"
+        run_cli(["certify", "--fixture", "antiprism8", "--omega", 0, "--out", cert])
+        payload = json.loads(cert.read_text())
+        del payload["m"]
+        cert.write_text(json.dumps(payload))
+        assert run_cli(["stability", cert]) == 1
+        assert "lacks the field 'm'" in capsys.readouterr().err
+
     def test_diagram_black_row_for_stall(self, tmp_path):
         chain = tmp_path / "chain.json"
         run_cli(

@@ -430,3 +430,108 @@ def test_contraction_defect_bounds_exact_norm():
         )
         beta = iv.contraction_defect(R, IntervalArray(M))
         assert exact <= Fraction(beta) and beta < 1e-12
+
+
+# -- stacked complex determinants ---------------------------------------------
+
+
+def _det_stack(seed, n, B, thin=True):
+    """Stack re + i im of B random complex n x n interval matrices (point
+    matrices when ``thin`` is False).  Matrix 0 has an exactly zero pivot
+    column, so it takes the cofactor (n <= 5) or Hadamard (n > 5) fallback;
+    matrix 1 mixes entries of +-1e200 and 1e-200 into ordinary ones."""
+    rng = np.random.default_rng(seed)
+    mid = rng.normal(size=(2, B, n, n))
+    mid[:, 0, :, rng.integers(n)] = 0.0
+    if B > 1:
+        mid[:, 1] *= rng.choice([1.0, 1e200, -1e200, 1e-200], size=(n, n))
+    rad = np.zeros_like(mid)
+    if thin:
+        rad = np.abs(mid) * np.where(rng.uniform(size=mid.shape) < 0.5, 0.0, rng.uniform(0, 1e-9, mid.shape))
+    return IntervalArray(mid[0] - rad[0], mid[0] + rad[0]), IntervalArray(mid[1] - rad[1], mid[1] + rad[1])
+
+
+def _exact_cdet(re, im) -> tuple:
+    """Exact determinant of the point matrix re + i im as (Fraction, Fraction),
+    by fraction-free (Bareiss) elimination over the Gaussian integers."""
+    n = len(re)
+    entries = [[(Fraction(re[i][j]), Fraction(im[i][j])) for j in range(n)] for i in range(n)]
+    scale = max(x.denominator for row in entries for z in row for x in z)  # a power of two
+    A = [[(int(x * scale), int(y * scale)) for x, y in row] for row in entries]
+
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    sign, prev = 1, (1, 0)
+    for k in range(n):
+        p = next((i for i in range(k, n) if A[i][k] != (0, 0)), None)
+        if p is None:
+            return Fraction(0), Fraction(0)
+        if p != k:
+            A[k], A[p] = A[p], A[k]
+            sign = -sign
+        norm = prev[0] ** 2 + prev[1] ** 2
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a, b = mul(A[k][k], A[i][j]), mul(A[i][k], A[k][j])
+                num = mul((a[0] - b[0], a[1] - b[1]), (prev[0], -prev[1]))
+                A[i][j] = (num[0] // norm, num[1] // norm)  # exact (Bareiss)
+        prev = A[k][k]
+    return Fraction(sign * prev[0], scale**n), Fraction(sign * prev[1], scale**n)
+
+
+def _contains_exact(lo: float, hi: float, x: Fraction) -> bool:
+    return (lo == -math.inf or Fraction(lo) <= x) and (hi == math.inf or x <= Fraction(hi))
+
+
+def _det_misses(re, im) -> int:
+    """Point matrices of the stack whose determinant enclosure misses the
+    exact determinant."""
+    dre, dim = complex_det_enclosure((re, im))
+    misses = 0
+    for b in range(re.shape[0]):
+        xr, xi = _exact_cdet(re.lo[b].tolist(), im.lo[b].tolist())
+        misses += not (_contains_exact(dre.lo[b], dre.hi[b], xr) and _contains_exact(dim.lo[b], dim.hi[b], xi))
+    return misses
+
+
+def _ends(*parts) -> bytes:
+    return np.array([[x.lo, x.hi] for x in parts], dtype=float).tobytes()
+
+
+class TestStackedComplexDet:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stack_slices_equal_single_calls(self):
+        """Each slice of a stacked call is bit for bit the single-matrix call,
+        through row swaps, both fallbacks and over/underflowing entries."""
+        for n in range(1, 13):
+            re, im = _det_stack(100 + n, n, B=5)
+            dre, dim = complex_det_enclosure((re, im))
+            assert dre.shape == dim.shape == (5,)
+            assert not (np.isnan(dre.lo).any() or np.isnan(dre.hi).any() or np.isnan(dim.lo).any() or np.isnan(dim.hi).any())
+            for b in range(5):
+                M = [[ComplexInterval(re[b, i, j], im[b, i, j]) for j in range(n)] for i in range(n)]
+                single = complex_det_enclosure(M)
+                assert _ends(single.re, single.im) == _ends(dre[b], dim[b]), (n, b)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_stack_contains_exact_determinants(self):
+        for n in range(1, 13):
+            re, im = _det_stack(200 + n, n, B=5, thin=False)
+            assert _det_misses(re, im) == 0, n
+
+    def test_stack_shape_errors(self):
+        re, im = _det_stack(1, 3, B=2)
+        with pytest.raises(ShapeError):
+            complex_det_enclosure((re, im[:, :2]))
+        with pytest.raises(ShapeError):
+            complex_det_enclosure((re[0], im[0]))
+
+    def test_lu_without_outward_rounding_fails(self, monkeypatch):
+        """Planted fault: with the array outward rounding made the identity,
+        the exact-determinant check must catch the LU's rounding errors."""
+        cases = [_det_stack(300 + n, n, B=6, thin=False) for n in range(4, 9)]
+        assert sum(_det_misses(re, im) for re, im in cases) == 0
+        monkeypatch.setattr(iv, "_up_arr", lambda x: x)
+        monkeypatch.setattr(iv, "_down_arr", lambda x: x)
+        assert sum(_det_misses(re, im) for re, im in cases) > 0

@@ -11,7 +11,8 @@ from vortexcert import catalog as cat
 from vortexcert import continuation as cont
 from vortexcert import model as md
 from vortexcert import stability as stab
-from vortexcert.intervals import ComplexInterval, Interval
+from vortexcert import intervals as iv
+from vortexcert.intervals import ComplexInterval, Interval, IntervalArray
 
 from test_model import random_ring
 
@@ -257,6 +258,71 @@ class TestWinding:
         with pytest.raises(stab.BoundaryHit):
             # eigenvalue exactly on the boundary of the window
             stab.count_eigenvalues_winding(blk, 1.5, 0.5, mesh=8, mesh_max=16)
+
+    def test_near_kernel_pair_counts_through_lu(self, monkeypatch):
+        """A Hermitian block with an eigenvalue pair at +-1e-13, like the
+        mu=0 kernel of eq11: the count in (-1e-8, 1e-8) is 2, and the cells
+        where the polynomial enclosure contains zero go through the stacked
+        interval determinant."""
+        rng = np.random.default_rng(SEED + 13)
+        d = 10
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        lam = np.concatenate([[1e-13, -1e-13], rng.uniform(0.5, 3.0, d - 2)])
+        M = (Q * lam) @ Q.conj().T
+        M = (M + M.conj().T) / 2
+        calls = []
+        det = iv.complex_det_enclosure
+
+        def counting(stack):
+            calls.append(stack[0].shape[0])
+            return det(stack)
+
+        monkeypatch.setattr(iv, "complex_det_enclosure", counting)
+        assert stab.count_eigenvalues_winding(self._block(M), 0.0, 1e-8) == 2
+        assert len(calls) >= 1
+
+
+def _char_poly_reference(cmat: np.ndarray) -> list:
+    """The scalar Faddeev-LeVerrier recursion on an object array of
+    ComplexIntervals (object-array ``@``), as the array routine replaced it."""
+    d = cmat.shape[0]
+    eye = np.empty((d, d), dtype=object)
+    eye[:, :] = ComplexInterval(0.0)
+    for i in range(d):
+        eye[i, i] = ComplexInterval(1.0)
+    coeffs = []
+    Mk = cmat.copy()
+    for k in range(1, d + 1):
+        tr = ComplexInterval(0.0)
+        for i in range(d):
+            tr = tr + Mk[i, i]
+        pk = -(tr) if k == 1 else ComplexInterval(tr.re / (-float(k)), tr.im / (-float(k)))
+        coeffs.append(pk)
+        if k < d:
+            Mk = cmat @ (Mk + eye * pk)
+    return coeffs
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 9, 12])
+def test_char_poly_matches_scalar_reference(d):
+    """The array recursion reproduces the scalar coefficients endpoint for
+    endpoint, on a thin interval Hermitian block and on a point block."""
+    rng = np.random.default_rng(SEED + d)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    M = (A + A.conj().T) / 2
+    rad = np.abs(M.real) * rng.uniform(0, 1e-10, (d, d))
+    thin = stab.BlockMatrix(
+        l=1, kind="Q", interval_mode=True,
+        re=IntervalArray(M.real - rad, M.real + rad).to_object(),
+        im=IntervalArray(M.imag - rad, M.imag + rad).to_object(),
+    )
+    point = stab.BlockMatrix(l=0, kind="P", re=M.real, im=None, interval_mode=False)
+    for blk in (thin, point):
+        re, im = stab._block_intervals(blk)
+        cmat = np.array([[ComplexInterval(re[i, j], im[i, j]) for j in range(d)] for i in range(d)])
+        ref = _char_poly_reference(cmat)
+        pre, pim = stab._char_poly((re, im))
+        assert [(c.re.lo, c.re.hi, c.im.lo, c.im.hi) for c in ref] == list(zip(pre.lo, pre.hi, pim.lo, pim.hi))
 
 
 class TestVerdicts:
