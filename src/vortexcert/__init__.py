@@ -8,7 +8,7 @@ pipeline.
 
 __version__ = "0.1.0"
 
-from .intervals import ComplexInterval, Interval, IntervalArray, IntervalMatrix, IntervalVector
+from .intervals import ComplexInterval, Interval, IntervalArray
 from .model import FullConfiguration, RingSystem, VortexParameters
 from .continuation import (
     AugmentedPoint,
@@ -25,8 +25,6 @@ __all__ = [
     "Interval",
     "ComplexInterval",
     "IntervalArray",
-    "IntervalVector",
-    "IntervalMatrix",
     "FullConfiguration",
     "RingSystem",
     "VortexParameters",

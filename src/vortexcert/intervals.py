@@ -16,17 +16,27 @@ extrema.
 Values are immutable after construction.  Double precision only; there is
 no arbitrary-precision fallback.
 
-IntervalArray is the array form used by the model and the
-Newton-Kantorovich bounds: float64 ``lo``/``hi`` endpoint arrays and numpy
-operations.  The array path rounds each computed endpoint one ulp outward
-with ``np.nextafter``: ``+ - *`` and ``sqr`` only on the side where the
-vectorised TwoSum/TwoProduct (same exponent guard) show an error, division
-on both sides.  Axis sums are pairwise trees of such additions; the
-float-matrix product ``matmul`` uses an a-priori error bound instead.  It
-keeps exact zeros exact: a point-zero factor or numerator gives a point
-zero, and a ``matmul`` entry whose every term has a zero factor is an exact
-zero.  TwoSum/TwoProduct exactness of other results remains a contract of
-the scalar Interval only; division and ``matmul`` widen exact results.
+IntervalArray is the one interval matrix representation: float64
+``lo``/``hi`` endpoint arrays and numpy operations.  The model, the
+Newton-Kantorovich bounds and the stability layer (full-space Hessian,
+slice columns, projected blocks, bordered eigenpair systems and
+``verify_invertible``) all run on it; the scalar Interval stays as the
+reference type.  The array path rounds each computed endpoint one ulp
+outward with ``np.nextafter``: ``+ - *`` and ``sqr`` only on the side where
+the vectorised TwoSum/TwoProduct (same exponent guard) show an error,
+division on both sides.  Axis sums are pairwise trees of such additions;
+``sum_in_order`` adds left to right.  ``matmul`` multiplies a float matrix by an interval one with an a-priori
+error bound (midpoint-radius form), and two interval matrices in the
+endpoint form: elementwise interval products added left to right over the
+inner index (the order of a scalar dot-product loop, so the entries equal
+those of a product of scalar Interval matrices), in slabs of about 4096
+products.  It keeps exact zeros exact: a point-zero factor or numerator
+gives a point zero, and a ``matmul`` entry whose every term has a zero
+factor is an exact zero.  TwoSum/TwoProduct exactness of other results
+remains a contract of the scalar Interval only; division and the
+midpoint-radius product widen exact results.  (The object-array types
+IntervalVector and IntervalMatrix, and mat_mul, mat_vec, norm_sup and
+norm_sup_matrix, are gone: use IntervalArray, ``matmul`` and ``sup_norm``.)
 
 ``complex_det_enclosure`` encloses complex determinants of one matrix or
 of a stack of B matrices given as a pair (re, im) of (B, n, n)
@@ -50,8 +60,6 @@ __all__ = [
     "UnsupportedSize",
     "Interval",
     "ComplexInterval",
-    "IntervalVector",
-    "IntervalMatrix",
     "IntervalArray",
     "PI",
     "TWO_PI",
@@ -60,14 +68,11 @@ __all__ = [
     "cos",
     "sin",
     "hull",
-    "mat_mul",
-    "mat_vec",
-    "norm_sup",
-    "norm_sup_matrix",
     "as_array",
     "zeros",
     "stack",
     "concatenate",
+    "sum_in_order",
     "sqr",
     "matmul",
     "sup_norm",
@@ -570,181 +575,6 @@ class ComplexInterval:
         return f"ComplexInterval({self.re!r}, {self.im!r})"
 
 
-def _as_object_array(data, kind) -> np.ndarray:
-    arr = np.empty(np.shape(data), dtype=object)
-    flat_src = np.asarray(data, dtype=object).reshape(-1)
-    flat = arr.reshape(-1)
-    for i, v in enumerate(flat_src):
-        flat[i] = kind._coerce(v)
-    return arr
-
-
-class IntervalVector:
-    """Dense vector of Interval entries."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        if isinstance(data, IntervalVector):
-            self.data = data.data
-            return
-        arr = _as_object_array(data, Interval)
-        if arr.ndim != 1:
-            raise ShapeError("IntervalVector requires a 1-d sequence")
-        self.data = arr
-
-    @classmethod
-    def from_floats(cls, values) -> "IntervalVector":
-        return cls([Interval(float(v)) for v in np.asarray(values).reshape(-1)])
-
-    def __len__(self):
-        return self.data.shape[0]
-
-    def __getitem__(self, i):
-        return self.data[i]
-
-    def __add__(self, other):
-        o = IntervalVector(other)
-        if len(o) != len(self):
-            raise ShapeError("vector length mismatch")
-        return IntervalVector(self.data + o.data)
-
-    def __sub__(self, other):
-        o = IntervalVector(other)
-        if len(o) != len(self):
-            raise ShapeError("vector length mismatch")
-        return IntervalVector(self.data - o.data)
-
-    def scale(self, s) -> "IntervalVector":
-        s = Interval._coerce(s)
-        return IntervalVector(self.data * s)
-
-    def dot(self, other) -> Interval:
-        o = IntervalVector(other)
-        if len(o) != len(self):
-            raise ShapeError("vector length mismatch")
-        acc = Interval(0.0)
-        for a, b in zip(self.data, o.data):
-            acc = acc + a * b
-        return acc
-
-    def __repr__(self):
-        return f"IntervalVector({list(self.data)!r})"
-
-
-class IntervalMatrix:
-    """Dense rectangular matrix of Interval entries."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        if isinstance(data, IntervalMatrix):
-            self.data = data.data
-            return
-        arr = _as_object_array(data, Interval)
-        if arr.ndim != 2:
-            raise ShapeError("IntervalMatrix requires a 2-d array")
-        self.data = arr
-
-    @classmethod
-    def from_floats(cls, values) -> "IntervalMatrix":
-        values = np.asarray(values, dtype=float)
-        return cls([[Interval(float(v)) for v in row] for row in values])
-
-    @classmethod
-    def identity(cls, n: int) -> "IntervalMatrix":
-        return cls([[Interval(1.0 if i == j else 0.0) for j in range(n)] for i in range(n)])
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def __getitem__(self, idx):
-        return self.data[idx]
-
-    def mid(self) -> np.ndarray:
-        return np.array([[e.mid for e in row] for row in self.data], dtype=float)
-
-    def transpose(self) -> "IntervalMatrix":
-        return IntervalMatrix(self.data.T.copy())
-
-    def __add__(self, other):
-        o = IntervalMatrix(other)
-        if o.shape != self.shape:
-            raise ShapeError("matrix shape mismatch")
-        return IntervalMatrix(self.data + o.data)
-
-    def __sub__(self, other):
-        o = IntervalMatrix(other)
-        if o.shape != self.shape:
-            raise ShapeError("matrix shape mismatch")
-        return IntervalMatrix(self.data - o.data)
-
-
-def mat_vec(M: IntervalMatrix, v: IntervalVector) -> IntervalVector:
-    M = IntervalMatrix(M)
-    v = IntervalVector(v)
-    r, c = M.shape
-    if c != len(v):
-        raise ShapeError(f"mat_vec shapes {M.shape} x {len(v)}")
-    out = []
-    for i in range(r):
-        acc = Interval(0.0)
-        row = M.data[i]
-        for j in range(c):
-            acc = acc + row[j] * v.data[j]
-        out.append(acc)
-    return IntervalVector(out)
-
-
-def mat_mul(A: IntervalMatrix, B: IntervalMatrix) -> IntervalMatrix:
-    A = IntervalMatrix(A)
-    B = IntervalMatrix(B)
-    ra, ca = A.shape
-    rb, cb = B.shape
-    if ca != rb:
-        raise ShapeError(f"mat_mul shapes {A.shape} x {B.shape}")
-    out = np.empty((ra, cb), dtype=object)
-    Bd = B.data
-    for i in range(ra):
-        Ai = A.data[i]
-        for j in range(cb):
-            acc = Interval(0.0)
-            for k in range(ca):
-                acc = acc + Ai[k] * Bd[k][j]
-            out[i, j] = acc
-    return IntervalMatrix(out)
-
-
-def norm_sup(v) -> Interval:
-    """Enclosure of the sup norm of every point vector in v."""
-    v = IntervalVector(v)
-    if len(v) == 0:
-        return Interval(0.0)
-    lo = max(e.mig for e in v.data)
-    hi = max(e.mag for e in v.data)
-    return Interval(lo, hi)
-
-
-def norm_sup_matrix(M) -> Interval:
-    """Enclosure of the induced sup (infinity) norm over all point matrices."""
-    M = IntervalMatrix(M)
-    r, _ = M.shape
-    if r == 0:
-        return Interval(0.0)
-    lo = 0.0
-    hi = 0.0
-    for i in range(r):
-        row_lo = Interval(0.0)
-        row_hi = Interval(0.0)
-        for e in M.data[i]:
-            row_lo = row_lo + e.mig
-            row_hi = row_hi + e.mag
-        lo = max(lo, row_lo.lo)
-        hi = max(hi, row_hi.hi)
-    return Interval(lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # Interval arrays
 # ---------------------------------------------------------------------------
@@ -787,17 +617,23 @@ def _add_hi(a, b):
     return np.where(err > 0.0, _up_arr(s), s)
 
 
+def _split(x):
+    """Dekker's split x = x1 + x2, x1 holding the upper 26 significant bits."""
+    c = _SPLITTER * x
+    x1 = c - (c - x)
+    return x1, x - x1
+
+
 def _mul_bounds(a, b):
-    """Lower and upper bounds of a*b: fl(a*b), moved one ulp outward on the
-    side where Dekker's TwoProduct puts the error, and on both sides outside
-    its safe exponent range.  A zero factor gives an exact zero."""
+    """Lower and upper bounds of a*b (broadcast): fl(a*b), moved one ulp
+    outward on the side where Dekker's TwoProduct puts the error, and on both
+    sides outside its safe exponent range.  A zero factor gives an exact
+    zero.  Each operand is split before broadcasting, so operands given as
+    (2, 1, ...) and (1, 2, ...) stacks split every entry once.  The result
+    does not depend on the operands' layout."""
     p = a * b
-    ca = _SPLITTER * a
-    a1 = ca - (ca - a)
-    a2 = a - a1
-    cb = _SPLITTER * b
-    b1 = cb - (cb - b)
-    b2 = b - b1
+    a1, a2 = _split(a)
+    b1, b2 = _split(b)
     err = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
     aa, ab = np.abs(a), np.abs(b)
     safe = (aa > _SAFE_LO) & (aa < _SAFE_HI) & (ab > _SAFE_LO) & (ab < _SAFE_HI) & (np.abs(p) > _SAFE_LO)
@@ -816,9 +652,10 @@ class IntervalArray:
 
     Supports broadcasting elementwise ``+ - * /`` with other interval
     arrays, scalar Intervals, floats and float arrays, ``sqr``, axis sums,
-    indexing (a 0-d result is returned as a scalar Interval) and
-    ``A @ X`` with a float matrix A (see ``matmul``).  Endpoints are assumed
-    finite.  Arrays are not modified in place by any operation.
+    indexing (a 0-d result is returned as a scalar Interval) and matrix
+    products ``@`` with float and interval matrices (see ``matmul``).
+    Endpoints are assumed finite.  Arrays are not modified in place by any
+    operation.
     """
 
     __slots__ = ("lo", "hi")
@@ -967,11 +804,13 @@ class IntervalArray:
             lo, hi = _mul_bounds(c, np.array((self.lo, self.hi)))
             return IntervalArray._mk(np.minimum(lo[0], lo[1]), np.maximum(hi[0], hi[1]))
         blo, bhi = _endpoints(other)
-        shape = (4,) + np.broadcast_shapes(self.lo.shape, np.shape(blo))
-        a, b = np.empty(shape), np.empty(shape)
-        a[:2], a[2:], b[0::2], b[1::2] = self.lo, self.hi, blo, bhi
+        # the endpoints as a (2, 1) x (1, 2) outer product: _mul_bounds splits
+        # each endpoint once and broadcasts to lo*lo, lo*hi, hi*lo and hi*hi
+        nd = max(self.ndim, np.ndim(blo))
+        a = np.array((self.lo, self.hi)).reshape((2, 1) + (1,) * (nd - self.ndim) + self.shape)
+        b = np.array((blo, bhi)).reshape((1, 2) + (1,) * (nd - np.ndim(blo)) + np.shape(blo))
         lo, hi = _mul_bounds(a, b)
-        return IntervalArray._mk(lo.min(axis=0), hi.max(axis=0))
+        return IntervalArray._mk(lo.min(axis=(0, 1)), hi.max(axis=(0, 1)))
 
     __rmul__ = __mul__
 
@@ -1013,14 +852,16 @@ class IntervalArray:
             hi = np.concatenate([_add_hi(hi[:h], hi[h : 2 * h]), hi[2 * h :]])
         return self._mk(lo[0], hi[0]) if lo.ndim > 1 else Interval._mk(float(lo[0]), float(hi[0]))
 
-    # -- products with float matrices -------------------------------------------
+    # -- matrix products ----------------------------------------------------------
 
     def __rmatmul__(self, other):
         return matmul(other, self)
 
     def __matmul__(self, other):
-        """X @ B for a float matrix or vector B, as (B^T X^T)^T."""
-        other = np.asarray(other, dtype=float)
+        """X @ B; for a float matrix or vector B as (B^T X^T)^T."""
+        other = as_array(other)
+        if isinstance(other, IntervalArray):
+            return matmul(self, other)
         if other.ndim == 1:
             return matmul(other, self.T)
         return matmul(other.T, self.T).T
@@ -1084,16 +925,44 @@ def concatenate(items, axis: int = 0):
     )
 
 
+def sum_in_order(x, axis: int, start=None):
+    """Sum of a float or interval array along ``axis`` (plus ``start``),
+    added left to right as a scalar loop adds: an interval sum then has that
+    loop's endpoints, where the pairwise ``sum`` can differ by a few ulps."""
+    head = (slice(None),) * (axis % x.ndim)
+    acc = start
+    for k in range(x.shape[axis]):
+        acc = x[head + (k,)] if acc is None else acc + x[head + (k,)]
+    return x.sum(axis=axis) if acc is None else acc
+
+
 def sqr(x):
     """Elementwise square of a float or interval array."""
     return x.sqr() if isinstance(x, IntervalArray) else x * x
 
 
-def matmul(A, X) -> IntervalArray:
-    """Enclosure of {A @ x : x in X} for a float matrix (or vector) A.
+_SLAB = 4096  # endpoint products held at once by the interval x interval product
 
-    Midpoint-radius product (S. M. Rump, "Fast and parallel interval
-    arithmetic", BIT 39, 1999) with two float matrix products.  With
+
+def _check_inner(A, X):
+    if np.ndim(A) not in (1, 2) or np.ndim(X) not in (1, 2) or np.shape(A)[-1] != np.shape(X)[0]:
+        raise ShapeError(f"matrix product shapes {np.shape(A)} x {np.shape(X)}")
+
+
+def matmul(A, X) -> IntervalArray:
+    """Enclosure of {a @ x : a in A, x in X} for matrices or vectors.
+
+    An interval A (IntervalArray or object array) takes the endpoint form:
+    the elementwise interval products a_ik x_kj, added left to right over k
+    (``sum_in_order``), formed in slabs of the inner index that hold at most
+    about _SLAB products each.  Every product and addition is rounded
+    outward, so each entry contains the exact range of the dot product.
+    This is the entrywise interval product; a midpoint-radius form can be
+    up to 1.5 times wider on wide operands (Rump 1999).
+
+    A float matrix (or vector) A takes the midpoint-radius product (S. M.
+    Rump, "Fast and parallel interval arithmetic", BIT 39, 1999) with two
+    float matrix products.  With
     X = <m, r>, inner dimension n, u = 2**-53 and eta = 2**-1074,
 
         A x  in  fl(A m) +- R,
@@ -1108,8 +977,11 @@ def matmul(A, X) -> IntervalArray:
     factor the result entry is an exact zero: no rounding and no underflow
     term are applied there.
     """
-    A = np.asarray(A, dtype=float)
-    X = X if isinstance(X, IntervalArray) else IntervalArray.from_object(X)
+    A, X = as_array(A), as_array(X)
+    _check_inner(A, X)
+    if isinstance(A, IntervalArray):
+        return _endpoint_matmul(A, X if isinstance(X, IntervalArray) else IntervalArray(X))
+    X = X if isinstance(X, IntervalArray) else IntervalArray(X)
     n = A.shape[-1]
     mid, rad = X._midrad()
     center = A @ mid
@@ -1122,6 +994,20 @@ def matmul(A, X) -> IntervalArray:
     return IntervalArray._mk(
         np.where(rounded, _down_arr(center - R), center), np.where(rounded, _up_arr(center + R), center)
     )
+
+
+def _endpoint_matmul(A: IntervalArray, X: IntervalArray) -> IntervalArray:
+    """The endpoint form of ``matmul`` for interval A and X."""
+    vec_a, vec_x = A.ndim == 1, X.ndim == 1
+    A = A.reshape(1, -1) if vec_a else A
+    X = X.reshape(-1, 1) if vec_x else X
+    (m, n), p = A.shape, X.shape[1]
+    step = max(1, _SLAB // max(1, m * p))
+    out = zeros((m, p), like=A)
+    for k in range(0, n, step):
+        out = sum_in_order(A[:, k : k + step, None] * X[None, k : k + step], 1, out)
+    out = out[:, 0] if vec_x else out
+    return out[0] if vec_a else out
 
 
 def sup_norm(X: IntervalArray) -> float:
@@ -1148,27 +1034,28 @@ class InverseEnclosure:
 
     __slots__ = ("inverse", "defect")
 
-    def __init__(self, inverse: IntervalMatrix, defect: float):
+    def __init__(self, inverse: IntervalArray, defect: float):
         self.inverse = inverse
         self.defect = defect
 
 
-def verify_invertible(M: IntervalMatrix) -> InverseEnclosure:
-    """Certify that every point matrix in M is invertible.
+def verify_invertible(M) -> InverseEnclosure:
+    """Certify that every point matrix in M (an IntervalArray; an object
+    array of Intervals or a float matrix is converted) is invertible.
 
     Uses a floating approximate inverse R of the midpoint matrix and the
     contraction bound ||I - R M|| < 1 in the induced sup norm.  On success
-    returns an entrywise enclosure of the set of inverses.  Raises
+    returns an entrywise enclosure (an IntervalArray) of the set of
+    inverses.  Raises
     NotVerified when the bound cannot be established (which is *not* a
     proof of singularity).
     """
-    M = IntervalMatrix(M)
-    r, c = M.shape
-    if r != c:
+    X = as_array(M)
+    X = X if isinstance(X, IntervalArray) else IntervalArray(X)
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
         raise ShapeError("verify_invertible requires a square matrix")
-    if r == 0:
-        return InverseEnclosure(IntervalMatrix(np.empty((0, 0), dtype=object)), 0.0)
-    X = IntervalArray.from_object(M.data)
+    if X.shape[0] == 0:
+        return InverseEnclosure(X, 0.0)
     try:
         R = np.linalg.inv(X.mid)
     except np.linalg.LinAlgError as exc:
@@ -1181,8 +1068,7 @@ def verify_invertible(M: IntervalMatrix) -> InverseEnclosure:
     # ||inv(M) - R||_sup <= ||R||_sup * beta / (1 - beta), applied entrywise.
     norm_r = sup_norm(IntervalArray(R))
     slack = (Interval(norm_r) * beta) / (Interval(1.0) - Interval(beta))
-    enclosure = IntervalArray(R) + IntervalArray(-slack.hi, slack.hi)
-    return InverseEnclosure(IntervalMatrix(enclosure.to_object()), beta)
+    return InverseEnclosure(IntervalArray(R) + IntervalArray(-slack.hi, slack.hi), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -1312,11 +1198,12 @@ def complex_det_enclosure(M):
         if re.shape != im.shape or re.ndim != 3 or re.shape[1] != re.shape[2]:
             raise ShapeError("determinant stack requires re, im of one shape (B, n, n)")
     else:
-        arr = _as_object_array(M, ComplexInterval)
+        arr = np.asarray(M, dtype=object)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ShapeError("determinant requires a square matrix")
-        re = IntervalArray.from_object([[z.re for z in row] for row in arr]).reshape((1,) + arr.shape)
-        im = IntervalArray.from_object([[z.im for z in row] for row in arr]).reshape((1,) + arr.shape)
+        cells = [ComplexInterval._coerce(z) for z in arr.reshape(-1)]
+        re = IntervalArray.from_object([z.re for z in cells]).reshape((1,) + arr.shape)
+        im = IntervalArray.from_object([z.im for z in cells]).reshape((1,) + arr.shape)
     n = re.shape[-1]
     if n > _DET_MAX_SIZE:
         raise UnsupportedSize(f"determinant size {n} exceeds {_DET_MAX_SIZE}")

@@ -567,21 +567,6 @@ def grad_h(ring_or_u, m=None, p=None):
     return (D / s[..., None]).sum(axis=1) * (-float(m))
 
 
-def _outer(a, b):
-    interval_mode = isinstance(a[0], Interval) or isinstance(b[0], Interval)
-    out = np.empty((3, 3), dtype=object if interval_mode else float)
-    for i in range(3):
-        for j in range(3):
-            out[i, j] = a[i] * b[j]
-    return out
-
-
-def _eye3(interval_mode: bool):
-    if interval_mode:
-        return to_interval_array(np.eye(3))
-    return np.eye(3)
-
-
 def hess_h(ring_or_u, m=None, p=None):
     """Hessian of h as a (3n, 3n) array of 3x3 blocks (an IntervalArray for
     interval input).
@@ -664,26 +649,9 @@ def hess_hstar(u, lam, omega, m, p):
 # ---------------------------------------------------------------------------
 
 
-def _grad_full_Homega(vecs, omega):
-    N = vecs.shape[0]
-    interval_mode = _is_interval(vecs)
-    out = np.empty((N, 3), dtype=object if interval_mode else float)
-    for j in range(N):
-        acc = np.array([_zero(interval_mode)] * 3, dtype=object if interval_mode else float)
-        for i in range(N):
-            if i == j:
-                continue
-            d = vecs[j] - vecs[i]
-            acc = acc + d / _check_dist_sq(_norm_sq(d))
-        acc = -acc
-        acc[2] = acc[2] - omega
-        out[j] = acc
-    return out
-
-
 @dataclass
 class HessStarResult:
-    matrix: np.ndarray
+    matrix: np.ndarray | iv.IntervalArray
     multipliers: np.ndarray
     residual: float
     critical: bool
@@ -694,40 +662,28 @@ def full_hstar_hessian(v, omega, multipliers=None, tol: float = 1e-7) -> HessSta
 
     Restricted to tangent vectors this matrix represents d^2 H_omega(a).
     A non-critical input is flagged (residual = largest tangential component
-    of grad H_omega) but the matrix is still returned.
+    of grad H_omega) but the matrix is still returned.  Vectorised over
+    vortex pairs for float arrays and IntervalArrays alike (object-array
+    input is converted once); the matrix is an IntervalArray for interval
+    input.
     """
-    vecs = _as_vectors(v)
-    N = vecs.shape[0]
-    interval_mode = _is_interval(vecs)
-    grad = _grad_full_Homega(vecs, omega)
-    if multipliers is None:
-        c = np.empty(N, dtype=object if interval_mode else float)
-        for j in range(N):
-            c[j] = _dot(vecs[j], grad[j])
-    else:
-        c = multipliers
-    resid = 0.0
-    for j in range(N):
-        t = grad[j] - c[j] * vecs[j]
-        for comp in t:
-            resid = max(resid, comp.mag if isinstance(comp, Interval) else abs(comp))
-    eye = _eye3(interval_mode)
-    H = np.empty((3 * N, 3 * N), dtype=object if interval_mode else float)
-    if interval_mode:
-        H[:, :] = Interval(0.0)
-    else:
-        H[:, :] = 0.0
-    for j in range(N):
-        diag = np.full((3, 3), _zero(interval_mode), dtype=object if interval_mode else float)
-        for i in range(N):
-            if i == j:
-                continue
-            d = vecs[j] - vecs[i]
-            s = _check_dist_sq(_norm_sq(d))
-            blk = eye / s - (2.0 * _outer(d, d)) / (s.sqr() if interval_mode else s * s)
-            H[3 * j : 3 * j + 3, 3 * i : 3 * i + 3] = blk
-            diag = diag - blk
-        H[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = diag - eye * c[j]
+    V = iv.as_array(v.vectors if isinstance(v, FullConfiguration) else v)
+    N = V.shape[0]
+    others = _pair_tables(1, N, 0)[2]  # for m = 1, row j lists every i != j
+    D = V[:, None, :] - V[others]
+    s = _dist_sq(D)
+    grad = -iv.sum_in_order(D / s[..., None], 1)
+    grad[:, 2] = grad[:, 2] - omega
+    c = (V * grad).sum(axis=-1) if multipliers is None else iv.as_array(multipliers)
+    t = grad - c[:, None] * V
+    resid = float(t.mag().max() if isinstance(t, iv.IntervalArray) else np.abs(t).max())
+    # block (j, i) is I/s - 2 d d^T / s^2; block (j, j) minus their row sum minus c_j I
+    off = _frame_blocks(np.eye(3), D, s, iv.sqr(s), False)
+    H = iv.zeros((N, N, 3, 3), like=V)
+    rows = np.arange(N)
+    H[rows[:, None], others] = off
+    H[rows, rows] = -iv.sum_in_order(off, 1) - c[:, None, None] * np.eye(3)
+    H = H.transpose(0, 2, 1, 3).reshape(3 * N, 3 * N)
     return HessStarResult(H, c, resid, resid <= tol)
 
 

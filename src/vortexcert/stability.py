@@ -20,16 +20,17 @@ of being quotiented out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import intervals as iv
 from .intervals import ComplexInterval, DomainError, Interval, IntervalArray, NotVerified
 from .model import (
-    J3,
     RingSystem,
     full_hstar_hessian,
+    j3_rows,
     lift_rho,
     pole_offset,
     reduced_phi,
@@ -95,10 +96,11 @@ class BoundaryHit(RuntimeError):
 
 @dataclass
 class Column:
-    """A (possibly complex) tangent vector in R^{3N}, split into parts."""
+    """A (possibly complex) tangent vector in R^{3N}, split into parts
+    (float arrays, or IntervalArrays for interval input)."""
 
-    re: np.ndarray
-    im: np.ndarray | None = None
+    re: np.ndarray | IntervalArray
+    im: np.ndarray | IntervalArray | None = None
 
     @property
     def is_complex(self) -> bool:
@@ -130,79 +132,59 @@ class SliceBasis:
         return self.m * self.n + self.p if self.m >= 2 else self.n
 
 
-def _zero_vec(dim: int, interval_mode: bool) -> np.ndarray:
-    out = np.empty(dim, dtype=object if interval_mode else float)
-    out[:] = Interval(0.0) if interval_mode else 0.0
-    return out
+def _cross(u, v):
+    """Row-wise cross product of (..., 3) float or interval arrays."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return u[..., i] * v[..., j] - u[..., j] * v[..., i]
 
 
-def _basis_frame(a_vecs: np.ndarray, m: int, n: int, p: int):
-    """b_{j,k} = J3 a_{j,k} and c_{j,k} = b x a for the ring slots."""
-    interval_mode = a_vecs.dtype == object
-    b = {}
-    c = {}
-    for j in range(n):
-        for k in range(1, m + 1):
-            slot = j * m + (k - 1)
-            aa = a_vecs[slot]
-            bb = J3 @ aa
-            cc = np.array(
-                [
-                    bb[1] * aa[2] - bb[2] * aa[1],
-                    bb[2] * aa[0] - bb[0] * aa[2],
-                    bb[0] * aa[1] - bb[1] * aa[0],
-                ],
-                dtype=object if interval_mode else float,
-            )
-            b[(j, k)] = bb
-            c[(j, k)] = cc
-    return b, c
+def _dot(u, v):
+    """Row-wise dot product of (..., 3) arrays, summed left to right."""
+    return (u * v).sum(axis=-1)
 
 
-def _fourier_vec(frame: dict, j: int, l: int, m: int, N: int, interval_mode: bool) -> Column:
-    """Bhat/Chat_{j,l}: real and imaginary parts as 3N vectors."""
-    re = _zero_vec(3 * N, interval_mode)
-    im = _zero_vec(3 * N, interval_mode)
-    for k in range(1, m + 1):
-        cth, sth = _cos_sin_frac((l * k) % m, m, interval_mode)
-        slot = j * m + (k - 1)
-        vec = frame[(j, k)]
-        for t in range(3):
-            re[3 * slot + t] = re[3 * slot + t] + cth * vec[t]
-            im[3 * slot + t] = im[3 * slot + t] + sth * vec[t]
-    return Column(re=re, im=im)
+@lru_cache(maxsize=64)
+def _mode_trig(m: int, interval_mode: bool):
+    """(2, m) rows cos and sin of 2*pi*q/m for q = 0..m-1, exact at quarter
+    turns."""
+    cs = [_cos_sin_frac(q, m, interval_mode) for q in range(m)]
+    return (IntervalArray.from_object(cs) if interval_mode else np.array(cs)).T
 
 
-def fourier_vectors(ring: RingSystem, a_vecs: np.ndarray, j: int, l: int):
+def _fourier_table(a_vecs, m: int, n: int, N: int):
+    """All Fourier vectors Bhat/Chat_{j,l}, l = 0..m//2, as 3N vectors in one
+    (2, m//2 + 1, 2, n, 3N) array indexed [frame (b, c), l, part (re, im), j].
+
+    The frames are b = J3 a and c = b x a at the ring slots, slot j*m + (k-1)
+    holding g^k u_j; Bhat_{j,l} = sum_k e^{i l k zeta} b_{j,k} lives on the
+    slots of ring j."""
+    a = a_vecs[: m * n]
+    b = j3_rows(a)
+    frames = iv.stack([b, _cross(b, a)]).reshape(2, 1, 1, n, m, 3)
+    q = (np.arange(m // 2 + 1)[:, None] * np.arange(1, m + 1)) % m
+    w = _mode_trig(m, isinstance(a, IntervalArray))[:, q].transpose(1, 0, 2)
+    table = iv.zeros((2, m // 2 + 1, 2, n, N, 3), like=a)
+    slots = np.arange(n)[:, None] * m + np.arange(m)
+    table[:, :, :, np.arange(n)[:, None], slots] = w[None, :, :, None, :, None] * frames
+    return table.reshape(2, m // 2 + 1, 2, n, 3 * N)
+
+
+def fourier_vectors(ring: RingSystem, a_vecs, j: int, l: int):
     """(Bhat_{j,l}, Chat_{j,l}) for tests and diagnostics (0-based j)."""
-    interval_mode = a_vecs.dtype == object
-    b, c = _basis_frame(a_vecs, ring.m, ring.n, ring.p)
-    N = ring.N
-    return (
-        _fourier_vec(b, j, l, ring.m, N, interval_mode),
-        _fourier_vec(c, j, l, ring.m, N, interval_mode),
-    )
+    table = _fourier_table(iv.as_array(a_vecs), ring.m, ring.n, ring.N)
+    return Column(*table[0, l, :, j]), Column(*table[1, l, :, j])
 
 
-def _pole_delta(N: int, m: int, n: int, s: int, axis: int, interval_mode: bool) -> np.ndarray:
+def _pole_delta(N: int, m: int, n: int, s: int, axis: int, like) -> np.ndarray:
     """delta x_s (axis 0) or delta y_s (axis 1) for pole s (1-based)."""
-    out = _zero_vec(3 * N, interval_mode)
-    slot = m * n + (s - 1)
-    out[3 * slot + axis] = Interval(1.0) if interval_mode else 1.0
+    out = iv.zeros(3 * N, like=like)
+    out[3 * (m * n + s - 1) + axis] = 1.0
     return out
 
 
 def _cplx_scale(cr, ci, col: Column) -> Column:
     """(cr + i ci) * (col.re + i col.im)."""
-    R = col.re
-    I = col.im if col.im is not None else _zero_vec(len(R), isinstance(cr, Interval))
-    return Column(re=cr * R - ci * I, im=cr * I + ci * R)
-
-
-def _cplx_add(a: Column, b: Column) -> Column:
-    ia = a.im if a.im is not None else _zero_vec(len(a.re), isinstance(a.re[0], Interval))
-    ib = b.im if b.im is not None else _zero_vec(len(b.re), isinstance(b.re[0], Interval))
-    return Column(re=a.re + b.re, im=ia + ib)
+    return Column(re=cr * col.re - ci * col.im, im=cr * col.im + ci * col.re)
 
 
 def _real_col(col: Column) -> Column:
@@ -211,7 +193,6 @@ def _real_col(col: Column) -> Column:
 
 def momentum_derivative(col: Column) -> tuple:
     """d Phi(a) applied to the column: (sum of 3-blocks of re, same of im)."""
-    N3 = len(col.re)
     acc_re = [col.re[t::3].sum() for t in range(3)]
     acc_im = [col.im[t::3].sum() for t in range(3)] if col.im is not None else None
     return acc_re, acc_im
@@ -225,40 +206,47 @@ def _complex_mode_range(m: int):
     return list(range(1, top + 1))
 
 
+def _mid(x):
+    return x.mid if isinstance(x, (Interval, IntervalArray)) else x
+
+
+def _combine(columns: list) -> list:
+    """Real columns sum_k c_k v_k, each given as a list of the same number
+    of (coefficient, vector) terms: one product over all terms, then each
+    column's terms added pairwise (left to right for up to three terms)."""
+    if not columns:
+        return []
+    k, t = len(columns), len(columns[0])
+    coefs = iv.stack([c for col in columns for c, _ in col]).reshape(k, t, 1)
+    vecs = iv.stack([v for col in columns for _, v in col]).reshape(k, t, -1)
+    return [Column(re=col) for col in (vecs * coefs).sum(axis=1)]
+
+
 def _normalize_columns(blocks: list) -> None:
     """Scale every column to unit midpoint 2-norm (a diagonal congruence;
     signatures and kernels of the projected blocks are unchanged)."""
     for blk in blocks:
-        for idx, col in enumerate(blk.columns):
-            acc = 0.0
-            for part in (col.re, col.im):
-                if part is None:
-                    continue
-                for e in part:
-                    v = e.mid if isinstance(e, Interval) else float(e)
-                    acc += v * v
-            s = math.sqrt(acc)
-            if not s > 1e-12:
-                raise SliceConstructionError("slice basis column is numerically zero")
-            inv = 1.0 / s
-            blk.columns[idx] = Column(
-                re=col.re * inv, im=None if col.im is None else col.im * inv
-            )
+        if not blk.columns:
+            continue
+        re = iv.stack([col.re for col in blk.columns])
+        im = None if blk.columns[0].im is None else iv.stack([col.im for col in blk.columns])
+        norms = np.sqrt(sum((_mid(part) ** 2).sum(axis=1) for part in (re, im) if part is not None))
+        if not np.all(norms > 1e-12):
+            raise SliceConstructionError("slice basis column is numerically zero")
+        inv = (1.0 / norms)[:, None]
+        re, im = re * inv, None if im is None else im * inv
+        blk.columns = [Column(re=re[i], im=None if im is None else im[i]) for i in range(len(re))]
 
 
 def _ring_order(ring: RingSystem) -> list:
     """Ring relabelling for the slice construction: the distinguished ring
     must avoid the poles, and for m = 2 also the equator, or the mode-1
     basis columns degenerate."""
-
-    def mid(v):
-        return v.mid if isinstance(v, Interval) else float(v)
-
     scores = []
     for j in range(ring.n):
         g = ring.generators[j]
-        eta2 = mid(g[0]) ** 2 + mid(g[1]) ** 2
-        zj = abs(mid(g[2]))
+        eta2 = float(_mid(g[0])) ** 2 + float(_mid(g[1])) ** 2
+        zj = abs(float(_mid(g[2])))
         scores.append(eta2 * (zj if ring.m == 2 else 1.0 + zj))
     return sorted(range(ring.n), key=lambda j: -scores[j])
 
@@ -283,11 +271,10 @@ def build_slice(
     rather than by constructing a complement.  Columns are normalized by
     default (pure scaling, harmless to signatures) so the projected blocks
     stay well conditioned; pass normalize=False to reproduce the raw
-    reference formulas.
+    reference formulas.  Columns are 3N float vectors, or IntervalArrays
+    for interval input (a_vecs an IntervalArray or object array).
     """
-    if a_vecs is None:
-        a_vecs = lift_rho(ring).vectors
-    interval_mode = a_vecs.dtype == object
+    a_vecs = iv.as_array(lift_rho(ring).vectors if a_vecs is None else a_vecs)
     m, n, p = ring.m, ring.n, ring.p
     N = ring.N
     if m == 1:
@@ -296,13 +283,13 @@ def build_slice(
             _normalize_columns(basis.blocks)
         return basis
 
-    b_frame, c_frame = _basis_frame(a_vecs, m, n, p)
+    table = _fourier_table(a_vecs, m, n, N)
 
     def B(j, l):
-        return _fourier_vec(b_frame, j, l, m, N, interval_mode)
+        return Column(*table[0, l, :, j])
 
     def C(j, l):
-        return _fourier_vec(c_frame, j, l, m, N, interval_mode)
+        return Column(*table[1, l, :, j])
 
     gens = ring.generators
     x = [gens[j][0] for j in range(n)]
@@ -322,45 +309,29 @@ def build_slice(
         cols0.append(_real_col(B(R[t], 0)))
     for t in range(1, n):
         j = R[t]
-        lhs = _cplx_scale(eta_sq[r1], 0.0, C(j, 0))
-        rhs = _cplx_scale(eta_sq[j], 0.0, C(r1, 0))
-        cols0.append(Column(re=lhs.re - rhs.re, im=None))
+        cols0.append(Column(re=eta_sq[r1] * C(j, 0).re - eta_sq[j] * C(r1, 0).re))
     blocks.append(SliceBlockBasis(l=0, kind="P", columns=cols0))
 
     if m == 2:
-        # mode 1: real block of dimension 2n + 2p - 2
-        cols1 = []
-        B11, C11 = B(r1, 1), C(r1, 1)  # real vectors for m = 2
-        for t in range(1, n):
-            j = R[t]
-            # Re(eta_1 conj(eta_j)), Im(eta_1 conj(eta_j))
-            re1j = eta_re[r1] * eta_re[j] + eta_im[r1] * eta_im[j]
-            im1j = eta_im[r1] * eta_re[j] - eta_re[r1] * eta_im[j]
-            Bj1 = B(j, 1)
-            col = z[r1] * re1j * B11.re - z[r1] * eta_sq[r1] * Bj1.re - im1j * C11.re
-            cols1.append(Column(re=col))
-        for t in range(1, n):
-            j = R[t]
-            re1j = eta_re[r1] * eta_re[j] + eta_im[r1] * eta_im[j]
-            im1j = eta_im[r1] * eta_re[j] - eta_re[r1] * eta_im[j]
-            Cj1 = C(j, 1)
-            col = z[r1] * z[j] * im1j * B11.re - z[r1] * eta_sq[r1] * Cj1.re + z[j] * re1j * C11.re
-            cols1.append(Column(re=col))
-        for s in range(1, p + 1):
-            dx = _pole_delta(N, m, n, s, 0, interval_mode)
-            col = z[r1] * eta_im[r1] * B11.re + eta_re[r1] * C11.re - 2.0 * z[r1] * eta_sq[r1] * dx
-            cols1.append(Column(re=col))
-        for s in range(1, p + 1):
-            dy = _pole_delta(N, m, n, s, 1, interval_mode)
-            col = z[r1] * eta_re[r1] * B11.re - eta_im[r1] * C11.re - 2.0 * z[r1] * eta_sq[r1] * dy
-            cols1.append(Column(re=col))
+        # mode 1: real block of dimension 2n + 2p - 2, three terms per column
+        B11, C11 = B(r1, 1).re, C(r1, 1).re  # real vectors for m = 2
+        z1, others = z[r1], R[1:]
+        w1, w2 = z1 * eta_sq[r1], 2.0 * z1 * eta_sq[r1]
+        # Re(eta_1 conj(eta_j)), Im(eta_1 conj(eta_j))
+        re1 = [eta_re[r1] * eta_re[j] + eta_im[r1] * eta_im[j] for j in others]
+        im1 = [eta_im[r1] * eta_re[j] - eta_re[r1] * eta_im[j] for j in others]
+        terms = [[(z1 * a, B11), (-w1, B(j, 1).re), (-b, C11)] for j, a, b in zip(others, re1, im1)]
+        terms += [[(z1 * z[j] * b, B11), (-w1, C(j, 1).re), (z[j] * a, C11)] for j, a, b in zip(others, re1, im1)]
+        poles = range(1, p + 1)
+        terms += [[(z1 * eta_im[r1], B11), (eta_re[r1], C11), (-w2, _pole_delta(N, m, n, s, 0, a_vecs))] for s in poles]
+        terms += [[(z1 * eta_re[r1], B11), (-eta_im[r1], C11), (-w2, _pole_delta(N, m, n, s, 1, a_vecs))] for s in poles]
+        cols1 = _combine(terms)
         blocks.append(SliceBlockBasis(l=1, kind="P", columns=cols1))
     else:
         # mode 1: Hermitian block of dimension 2n + p - 1
         cols1 = []
         B11, C11 = B(r1, 1), C(r1, 1)
-        iC11 = Column(re=-C11.im, im=C11.re)
-        cols1.append(_cplx_add(_cplx_scale(z[r1], 0.0, B11), iC11))
+        cols1.append(Column(re=z[r1] * B11.re - C11.im, im=z[r1] * B11.im + C11.re))
         for t in range(1, n):
             j = R[t]
             t1 = _cplx_scale(eta_re[j], eta_im[j], B11)
@@ -372,16 +343,15 @@ def build_slice(
             Cj1 = C(j, 1)
             iCj1 = Column(re=-Cj1.im, im=Cj1.re)
             t2 = _cplx_scale(eta_re[r1], eta_im[r1], iCj1)
-            cols1.append(_cplx_add(t1, t2))
+            cols1.append(Column(re=t1.re + t2.re, im=t1.im + t2.im))
         for s in range(1, p + 1):
             dxy = Column(
-                re=_pole_delta(N, m, n, s, 0, interval_mode),
-                im=_pole_delta(N, m, n, s, 1, interval_mode),
+                re=_pole_delta(N, m, n, s, 0, a_vecs),
+                im=_pole_delta(N, m, n, s, 1, a_vecs),
             )
             # 2 Bhat_{1,1} + i m eta_1 (dx + i dy); i m eta_1 = m (y_1 + i x_1)
             t2 = _cplx_scale(-float(m) * eta_im[r1], float(m) * eta_re[r1], dxy)
-            t1 = _cplx_scale(2.0, 0.0, B11)
-            cols1.append(_cplx_add(t1, t2))
+            cols1.append(Column(re=2.0 * B11.re + t2.re, im=2.0 * B11.im + t2.im))
         blocks.append(SliceBlockBasis(l=1, kind="Q", columns=cols1))
 
     for l in _complex_mode_range(m):
@@ -401,80 +371,44 @@ def build_slice(
     return SliceBasis(case=case, m=m, n=n, p=p, blocks=blocks)
 
 
-def _build_asymmetric_slice(ring: RingSystem, a_vecs: np.ndarray, mu_zero: bool) -> SliceBasis:
+def _build_asymmetric_slice(ring: RingSystem, a_vecs, mu_zero: bool) -> SliceBasis:
     """Slice basis for configurations without ring symmetry."""
-    interval_mode = a_vecs.dtype == object
     N = ring.n
     if N < 4:
         raise SliceConstructionError("asymmetric slice needs at least 4 vortices")
 
-    def mid(v):
-        return v.mid if isinstance(v, Interval) else float(v)
-
-    def b_of(av):
-        zmag = abs(mid(av[2]))
-        if zmag > 1.0 - 1e-9:
-            return np.array([1.0, 0.0, 0.0]) if not interval_mode else to_interval_array([1.0, 0.0, 0.0])
-        return J3 @ av
-
-    # choose the leading pair with a certainly nonzero a1 . b2
-    order = None
-    best = 0.0
-    idx = list(range(N))
-    for i1 in idx:
-        for i2 in idx:
-            if i1 == i2:
-                continue
-            a1, a2 = a_vecs[i1], a_vecs[i2]
-            if abs(mid(a1[2])) > 1 - 1e-6 or abs(mid(a2[2])) > 1 - 1e-6:
-                continue
-            val = a1[0] * (J3 @ a2)[0] + a1[1] * (J3 @ a2)[1] + a1[2] * (J3 @ a2)[2]
-            ok = (val.lo > 0 or val.hi < 0) if isinstance(val, Interval) else val != 0.0
-            score = abs(mid(val))
-            if ok and score > best:
-                best = score
-                order = [i1, i2] + [i for i in idx if i not in (i1, i2)]
-    if order is None:
+    # choose the leading pair with a certainly nonzero a1 . J3 a2 and the
+    # largest |mid|, the first such pair in (i1, i2) order
+    val = _dot(a_vecs[:, None, :], j3_rows(a_vecs)[None, :, :])
+    lo, hi = (val.lo, val.hi) if isinstance(val, IntervalArray) else (val, val)
+    polar = np.abs(_mid(a_vecs)[:, 2]) > 1 - 1e-6
+    ok = ((lo > 0) | (hi < 0)) & ~polar[:, None] & ~polar[None, :] & ~np.eye(N, dtype=bool)
+    score = np.where(ok, np.abs(_mid(val)), 0.0)
+    i1, i2 = np.unravel_index(int(np.argmax(score)), score.shape)
+    if not score[i1, i2] > 0.0:
         raise SliceConstructionError("no vortex pair with certainly nonzero a1 . J3 a2")
+    order = [int(i1), int(i2)] + [i for i in range(N) if i not in (i1, i2)]
 
     a = a_vecs[order]
-    b = [b_of(a[j]) for j in range(N)]
+    b = j3_rows(a)
+    b[np.abs(_mid(a)[:, 2]) > 1.0 - 1e-9] = np.array([1.0, 0.0, 0.0])
+    c = _cross(a, b)
 
-    def cross(u, v):
-        return np.array(
-            [
-                u[1] * v[2] - u[2] * v[1],
-                u[2] * v[0] - u[0] * v[2],
-                u[0] * v[1] - u[1] * v[0],
-            ],
-            dtype=object if interval_mode else float,
-        )
-
-    c = [cross(a[j], b[j]) for j in range(N)]
-
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-    def place(head0, head1, j_slot, tail):
-        col = _zero_vec(3 * N, interval_mode)
-        col[0:3] = head0
-        col[3:6] = head1
-        if j_slot is not None:
-            col[3 * j_slot : 3 * j_slot + 3] = tail
-        return Column(re=col)
-
-    cols = []
-    g0 = cross(a[0], cross(b[1], c[1]))
-    cols.append(place(g0, -g0, None, None))
-    a1b2 = dot(a[0], b[1])
-    for slot in range(3, N):  # u^(j) columns carry b at vortices 4..N (1-based)
-        w = b[slot]
-        cols.append(place(cross(a[0], cross(b[1], w)), -dot(a[0], w) * b[1], slot, a1b2 * w))
-    for slot in range(2, N):  # v^(j) columns carry c at vortices 3..N
-        w = c[slot]
-        cols.append(place(cross(a[0], cross(b[1], w)), -dot(a[0], w) * b[1], slot, a1b2 * w))
+    # column 0 is (g0, -g0, 0, ...); the u^(j) columns carry b at vortices
+    # 4..N (1-based), the v^(j) columns c at vortices 3..N
+    slots = np.concatenate([np.arange(3, N), np.arange(2, N)])
+    W = iv.concatenate([b[3:], c[2:]])
+    g0 = _cross(a[0], _cross(b[1], c[1]))
+    k = np.arange(1, len(slots) + 1)
+    cols = iv.zeros((len(slots) + 1, N, 3), like=a)
+    cols[0, 0], cols[0, 1] = g0, -g0
+    cols[k, 0] = _cross(a[0], _cross(b[1], W))
+    cols[k, 1] = -_dot(a[0], W)[:, None] * b[1]
+    cols[k, slots] = _dot(a[0], b[1]) * W
+    cols = cols.reshape(len(slots) + 1, 3 * N)
     case = "asymmetric-mu0" if mu_zero else "asymmetric"
-    basis = SliceBasis(case=case, m=1, n=N, p=0, blocks=[SliceBlockBasis(l=0, kind="P", columns=cols)])
+    blocks = [SliceBlockBasis(l=0, kind="P", columns=[Column(re=cols[i]) for i in range(len(cols))])]
+    basis = SliceBasis(case=case, m=1, n=N, p=0, blocks=blocks)
     basis.permutation = order
     return basis
 
@@ -486,87 +420,76 @@ def _build_asymmetric_slice(ring: RingSystem, a_vecs: np.ndarray, mu_zero: bool)
 
 @dataclass
 class BlockMatrix:
-    """Projected Hessian block; real symmetric (P) or Hermitian (Q)."""
+    """Projected Hessian block; real symmetric (P) or Hermitian (Q).
+
+    ``re`` and ``im`` are float arrays or IntervalArrays (object arrays of
+    Intervals are converted).  ``interval_mode`` is accepted and ignored:
+    the entries carry the mode."""
 
     l: int
     kind: str
-    re: np.ndarray
-    im: np.ndarray | None
-    interval_mode: bool
+    re: np.ndarray | IntervalArray
+    im: np.ndarray | IntervalArray | None
+    interval_mode: InitVar[bool] = False
+
+    def __post_init__(self, interval_mode):
+        self.re = iv.as_array(self.re)
+        self.im = None if self.im is None else iv.as_array(self.im)
 
     @property
     def size(self) -> int:
         return self.re.shape[0]
 
     def mid(self) -> np.ndarray:
-        if not self.interval_mode:
-            return self.re if self.im is None else self.re + 1j * self.im
-        rm = np.array([[e.mid for e in row] for row in self.re]) if self.size else np.zeros((0, 0))
         if self.im is None:
-            return rm
-        imid = np.array([[e.mid for e in row] for row in self.im])
-        return rm + 1j * imid
+            return _mid(self.re)
+        return _mid(self.re) + 1j * _mid(self.im)
 
-    def realified(self) -> np.ndarray:
+    def realified(self):
         """[[Re, -Im], [Im, Re]] with the same definiteness/kernel doubling."""
         if self.im is None:
             return self.re
-        d = self.size
-        out = np.empty((2 * d, 2 * d), dtype=self.re.dtype)
-        out[:d, :d] = self.re
-        out[d:, d:] = self.re
-        out[:d, d:] = -self.im
-        out[d:, :d] = self.im
-        return out
+        return iv.concatenate(
+            [iv.concatenate([self.re, -self.im], axis=1), iv.concatenate([self.im, self.re], axis=1)]
+        )
 
 
-def _stack_columns(cols, part: str, interval_mode: bool) -> np.ndarray:
-    dim = len(cols[0].re)
-    out = np.empty((dim, len(cols)), dtype=object if interval_mode else float)
-    for j, col in enumerate(cols):
-        vec = col.re if part == "re" else col.im
-        if vec is None:
-            vec = _zero_vec(dim, interval_mode)
-        out[:, j] = vec
-    return out
+def _stack_columns(cols, part: str):
+    """The real (part "re") or imaginary parts of the columns as one (3N, k)
+    array; a missing imaginary part is zero."""
+    zero = iv.zeros(len(cols[0].re), like=cols[0].re)
+    vecs = [col.re if part == "re" else col.im for col in cols]
+    return iv.stack([zero if v is None else v for v in vecs], axis=1)
 
 
-def assemble_blocks(basis: SliceBasis, hess: np.ndarray) -> list:
+def assemble_blocks(basis: SliceBasis, hess) -> list:
     """Project the 3N x 3N constrained Hessian onto each slice block.
 
     Real blocks: P^T H P, symmetrized.  Hermitian blocks with column split
     B + iC: (B^T H B + C^T H C) + i (B^T H C - C^T H B), Hermitized.  The
     symmetrization is valid because the exact block is symmetric/Hermitian.
+    For an interval Hessian the blocks are IntervalArrays and the products
+    run through ``iv.matmul`` (the endpoint form when both factors are
+    intervals).
     """
-    interval_mode = hess.dtype == object
+    hess = iv.as_array(hess)
     out = []
     for blk in basis.blocks:
         if blk.size == 0:
-            out.append(
-                BlockMatrix(
-                    l=blk.l,
-                    kind=blk.kind,
-                    re=np.zeros((0, 0)) if not interval_mode else np.empty((0, 0), dtype=object),
-                    im=None,
-                    interval_mode=interval_mode,
-                )
-            )
+            out.append(BlockMatrix(l=blk.l, kind=blk.kind, re=iv.zeros((0, 0), like=hess), im=None))
             continue
         if blk.kind == "P":
-            P = _stack_columns(blk.columns, "re", interval_mode)
+            P = _stack_columns(blk.columns, "re")
             M = P.T @ (hess @ P)
-            M = (M + M.T) * 0.5
-            out.append(BlockMatrix(l=blk.l, kind="P", re=M, im=None, interval_mode=interval_mode))
+            out.append(BlockMatrix(l=blk.l, kind="P", re=(M + M.T) * 0.5, im=None))
         else:
-            Bc = _stack_columns(blk.columns, "re", interval_mode)
-            Cc = _stack_columns(blk.columns, "im", interval_mode)
+            Bc = _stack_columns(blk.columns, "re")
+            Cc = _stack_columns(blk.columns, "im")
             HB = hess @ Bc
             HC = hess @ Cc
             re = Bc.T @ HB + Cc.T @ HC
             im = Bc.T @ HC - Cc.T @ HB
-            re = (re + re.T) * 0.5
-            im = (im - im.T) * 0.5
-            out.append(BlockMatrix(l=blk.l, kind="Q", re=re, im=im, interval_mode=interval_mode))
+            out.append(BlockMatrix(l=blk.l, kind="Q", re=(re + re.T) * 0.5, im=(im - im.T) * 0.5))
     return out
 
 
@@ -575,88 +498,58 @@ def assemble_blocks(basis: SliceBasis, hess: np.ndarray) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _as_interval_mat(M: np.ndarray) -> np.ndarray:
-    if M.dtype == object:
-        return M
-    return to_interval_array(M)
-
-
-def _real_eig_system(Mre: np.ndarray, lam: Interval, v: np.ndarray, vbar: np.ndarray, jk: int):
-    """G and DG for the bordered real symmetric eigenproblem (interval)."""
+def _real_eig_system(Mre, lam: IntervalArray, v: IntervalArray, vbar: np.ndarray, jk: int):
+    """G and DG for the bordered real symmetric eigenproblem, for a float or
+    interval block Mre, the eigenvector v and the eigenvalue lam (shape (1,))."""
     D = Mre.shape[0]
-    G = np.empty(D + 1, dtype=object)
-    for i in range(D):
-        acc = Interval(0.0)
-        for j in range(D):
-            acc = acc + Mre[i, j] * v[j]
-        G[i] = acc - lam * v[i]
-    G[D] = v[jk] - vbar[jk]
-    DG = np.empty((D + 1, D + 1), dtype=object)
-    DG[:, :] = Interval(0.0)
-    for i in range(D):
-        for j in range(D):
-            DG[i, j] = Mre[i, j]
-        DG[i, i] = DG[i, i] - lam
-        DG[i, D] = -v[i]
-    DG[D, jk] = Interval(1.0)
-    return G, DG
+    G = iv.concatenate([Mre @ v - lam * v, v[jk] - vbar[jk]])
+    top = iv.concatenate([Mre - lam * np.eye(D), -v[:, None]], axis=1)
+    return G, iv.concatenate([top, np.eye(1, D + 1, jk)])
 
 
 def _hermitian_eig_system(Mre, Mim, lam_re, lam_im, vr, vi, vbr, vbi, jk):
-    """Realified bordered Hermitian eigenproblem (interval)."""
+    """Realified bordered Hermitian eigenproblem (lam_re, lam_im of shape (1,))."""
     D = Mre.shape[0]
-    d = 2 * D + 2
-    G = np.empty(d, dtype=object)
-    for i in range(D):
-        acc_r = Interval(0.0)
-        acc_i = Interval(0.0)
-        for j in range(D):
-            acc_r = acc_r + Mre[i, j] * vr[j] - Mim[i, j] * vi[j]
-            acc_i = acc_i + Mre[i, j] * vi[j] + Mim[i, j] * vr[j]
-        G[i] = acc_r - (lam_re * vr[i] - lam_im * vi[i])
-        G[D + i] = acc_i - (lam_re * vi[i] + lam_im * vr[i])
-    G[2 * D] = vr[jk] - vbr[jk]
-    G[2 * D + 1] = vi[jk] - vbi[jk]
-    DG = np.empty((d, d), dtype=object)
-    DG[:, :] = Interval(0.0)
-    for i in range(D):
-        for j in range(D):
-            DG[i, j] = Mre[i, j]
-            DG[i, D + j] = -Mim[i, j] if isinstance(Mim[i, j], Interval) else Interval(-float(Mim[i, j]))
-            DG[D + i, j] = Mim[i, j]
-            DG[D + i, D + j] = Mre[i, j]
-        DG[i, i] = DG[i, i] - lam_re
-        DG[i, D + i] = DG[i, D + i] + lam_im
-        DG[D + i, i] = DG[D + i, i] - lam_im
-        DG[D + i, D + i] = DG[D + i, D + i] - lam_re
-        DG[i, 2 * D] = -vr[i]
-        DG[i, 2 * D + 1] = vi[i]
-        DG[D + i, 2 * D] = -vi[i]
-        DG[D + i, 2 * D + 1] = -vr[i]
-    DG[2 * D, jk] = Interval(1.0)
-    DG[2 * D + 1, D + jk] = Interval(1.0)
+    G = iv.concatenate(
+        [
+            Mre @ vr - Mim @ vi - (lam_re * vr - lam_im * vi),
+            Mre @ vi + Mim @ vr - (lam_re * vi + lam_im * vr),
+            vr[jk] - vbr[jk],
+            vi[jk] - vbi[jk],
+        ]
+    )
+    A = Mre - lam_re * np.eye(D)
+    B = Mim - lam_im * np.eye(D)
+    border = np.zeros((2, 2 * D + 2))
+    border[0, jk] = border[1, D + jk] = 1.0
+    DG = iv.concatenate(
+        [
+            iv.concatenate([A, -B, -vr[:, None], vi[:, None]], axis=1),
+            iv.concatenate([B, A, -vi[:, None], -vr[:, None]], axis=1),
+            border,
+        ]
+    )
     return G, DG
 
 
-def _nk_for_eigen(G_at, DG_at, x_mid: np.ndarray, r_start: float):
+def _nk_for_eigen(system, x_mid: np.ndarray, r_start: float):
     """Generic point Newton-Kantorovich loop for the bordered systems.
 
-    G_at(x_vec_of_intervals) and DG_at(...) evaluate the map and Jacobian;
+    system(x) evaluates the map and its Jacobian on an IntervalArray x;
     returns the certified radius r0 or raises NotIsolated.
     """
-    x_iv = to_interval_array(x_mid)
-    G0, DG0 = G_at(x_iv), DG_at(x_iv)
+    center = IntervalArray(x_mid)
+    G0, DG0 = system(center)
     try:
-        A = np.linalg.inv(iv.as_array(DG0).mid)
+        A = np.linalg.inv(DG0.mid)
     except np.linalg.LinAlgError:
         raise NotIsolated("bordered Jacobian is numerically singular") from None
     if not np.all(np.isfinite(A)):
         raise NotIsolated("bordered Jacobian inverse is not finite")
     Y = iv.sup_norm(iv.matmul(A, G0))
-    center = IntervalArray(x_mid)
     r = r_start
     while True:
-        Z = iv.contraction_defect(A, DG_at(center.pad(r).to_object()))
+        Z = iv.contraction_defect(A, system(center.pad(r))[1])
         if Z < 1.0:
             r0 = max((Y / (1.0 - Z)) * 1.01, 1e-300)
             if r0 <= r:
@@ -678,39 +571,24 @@ def validate_simple_eigenpair(block: BlockMatrix, lam_bar: float, v_bar: np.ndar
     if D == 0:
         raise DomainError("empty block has no eigenvalues")
     if block.kind == "P" or block.im is None:
-        Mre = _as_interval_mat(block.re)
         vb = np.asarray(v_bar, dtype=float).reshape(-1)
         jk = int(np.argmax(np.abs(vb)))
         x_mid = np.concatenate([vb, [lam_bar]])
 
-        def G_at(xv):
-            return _real_eig_system(Mre, xv[D], xv[:D], to_interval_array(vb), jk)[0]
+        def system(xv):
+            return _real_eig_system(block.re, xv[D:], xv[:D], vb, jk)
 
-        def DG_at(xv):
-            return _real_eig_system(Mre, xv[D], xv[:D], to_interval_array(vb), jk)[1]
+    else:
+        vb = np.asarray(v_bar, dtype=complex).reshape(-1)
+        jk = int(np.argmax(np.abs(vb)))
+        x_mid = np.concatenate([vb.real, vb.imag, [lam_bar, 0.0]])
 
-        r0 = _nk_for_eigen(G_at, DG_at, x_mid, r_start=1e-2 * max(1.0, abs(lam_bar)))
-        return Interval(math.nextafter(lam_bar - r0, -math.inf), math.nextafter(lam_bar + r0, math.inf))
+        def system(xv):
+            return _hermitian_eig_system(
+                block.re, block.im, xv[2 * D : 2 * D + 1], xv[2 * D + 1 :], xv[:D], xv[D : 2 * D], vb.real, vb.imag, jk
+            )
 
-    Mre = _as_interval_mat(block.re)
-    Mim = _as_interval_mat(block.im)
-    vb = np.asarray(v_bar, dtype=complex).reshape(-1)
-    jk = int(np.argmax(np.abs(vb)))
-    vbr = to_interval_array(vb.real)
-    vbi = to_interval_array(vb.imag)
-    x_mid = np.concatenate([vb.real, vb.imag, [lam_bar, 0.0]])
-
-    def G_at(xv):
-        return _hermitian_eig_system(
-            Mre, Mim, xv[2 * D], xv[2 * D + 1], xv[:D], xv[D : 2 * D], vbr, vbi, jk
-        )[0]
-
-    def DG_at(xv):
-        return _hermitian_eig_system(
-            Mre, Mim, xv[2 * D], xv[2 * D + 1], xv[:D], xv[D : 2 * D], vbr, vbi, jk
-        )[1]
-
-    r0 = _nk_for_eigen(G_at, DG_at, x_mid, r_start=1e-2 * max(1.0, abs(lam_bar)))
+    r0 = _nk_for_eigen(system, x_mid, r_start=1e-2 * max(1.0, abs(lam_bar)))
     return Interval(math.nextafter(lam_bar - r0, -math.inf), math.nextafter(lam_bar + r0, math.inf))
 
 
@@ -726,7 +604,6 @@ def _block_intervals(block: BlockMatrix) -> tuple:
     """The block as a pair (re, im) of d x d IntervalArrays."""
 
     def as_intervals(x):
-        x = iv.as_array(x)
         return x if isinstance(x, IntervalArray) else IntervalArray(x)
 
     re = as_intervals(block.re)
@@ -1147,7 +1024,7 @@ def stability_test(
             reason="momentum enclosure straddles zero at nonzero omega",
         )
 
-    a = lift_rho(interval_ring).vectors
+    a = iv.as_array(lift_rho(interval_ring).vectors)
     basis = build_slice(interval_ring, a, mu_zero=mu_zero)
     if basis.permutation is not None:
         a = a[basis.permutation]
@@ -1268,7 +1145,7 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
     def blocks_invertible(cert):
         tube = cert.ring_tube()
         omega_tube = cert.omega_tube()
-        a = lift_rho(tube).vectors
+        a = iv.as_array(lift_rho(tube).vectors)
         hess = full_hstar_hessian(a, omega_tube).matrix
         basis = build_slice(tube, a, mu_zero=False)
         blocks = assemble_blocks(basis, hess)
@@ -1276,7 +1153,7 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
             if blk.size == 0:
                 continue
             try:
-                iv.verify_invertible(iv.IntervalMatrix(blk.realified()))
+                iv.verify_invertible(blk.realified())
             except NotVerified as exc:
                 return blk.l, str(exc)
         return None

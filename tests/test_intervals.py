@@ -20,15 +20,10 @@ from vortexcert.intervals import (
     DomainError,
     Interval,
     IntervalArray,
-    IntervalMatrix,
-    IntervalVector,
     NotVerified,
     ShapeError,
     complex_det_enclosure,
-    mat_mul,
-    mat_vec,
-    norm_sup,
-    norm_sup_matrix,
+    sup_norm,
     verify_invertible,
 )
 
@@ -213,45 +208,38 @@ def test_hypothesis_ln_sqrt_consistency(a, b):
 
 class TestVectorsMatrices:
     def test_identity_matvec(self):
-        v = IntervalVector.from_floats([1.0, -2.0, 3.5])
-        I3 = IntervalMatrix.identity(3)
-        w = mat_vec(I3, v)
-        for a, b in zip(w.data, v.data):
+        v = IntervalArray([1.0, -2.0, 3.5])
+        w = iv.matmul(IntervalArray(np.eye(3)), v)
+        for a, b in zip(w, v):
             assert b.issubset(a)
 
     def test_norm_sup_example(self):
-        v = IntervalVector([ivl(1, 1), ivl(-2, -2)])
-        n = norm_sup(v)
-        assert n.contains(2.0) and n.width <= 1e-12
+        n = sup_norm(IntervalArray([1.0, -2.0]))
+        assert 2.0 <= n <= 2.0 + 1e-12
 
     def test_norm_matches_float_norm(self):
         """Random 5x5 point matrix: sup-norm bound vs double-precision norm."""
         for _ in range(20):
             A = RNG.normal(size=(5, 5))
-            M = IntervalMatrix.from_floats(A)
-            nb = norm_sup_matrix(M)
+            nb = sup_norm(IntervalArray(A))
             ref = np.max(np.sum(np.abs(A), axis=1))
-            assert nb.contains(ref) or abs(nb.mid - ref) < 1e-14
-            assert nb.hi >= ref - 1e-14 and nb.lo <= ref + 1e-14
+            assert ref - 1e-14 <= nb <= ref * (1.0 + 1e-12)
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            mat_vec(IntervalMatrix.identity(3), IntervalVector.from_floats([1, 2]))
+            iv.matmul(IntervalArray(np.eye(3)), IntervalArray([1.0, 2.0]))
         with pytest.raises(ShapeError):
-            mat_mul(
-                IntervalMatrix.from_floats(np.ones((2, 3))),
-                IntervalMatrix.from_floats(np.ones((2, 3))),
-            )
+            iv.matmul(IntervalArray(np.ones((2, 3))), IntervalArray(np.ones((2, 3))))
 
     def test_verify_invertible_diag(self):
-        M = IntervalMatrix.from_floats(np.diag([2.0, 3.0]))
+        M = IntervalArray(np.diag([2.0, 3.0]))
         enc = verify_invertible(M)
         assert enc.inverse[0, 0].contains(0.5)
         assert enc.inverse[1, 1].contains(1.0 / 3.0)
         assert enc.defect < 1e-10
 
     def test_verify_invertible_zero_row(self):
-        M = IntervalMatrix.from_floats([[1.0, 2.0], [0.0, 0.0]])
+        M = IntervalArray([[1.0, 2.0], [0.0, 0.0]])
         with pytest.raises(NotVerified):
             verify_invertible(M)
 
@@ -260,7 +248,7 @@ class TestVectorsMatrices:
         for _ in range(5):
             A = RNG.normal(size=(10, 10)) + 10.0 * np.eye(10)
             assert np.linalg.cond(A) < 1e3
-            enc = verify_invertible(IntervalMatrix.from_floats(A))
+            enc = verify_invertible(IntervalArray(A))
             invA = np.linalg.inv(A)
             for i in range(10):
                 for j in range(10):
@@ -366,7 +354,6 @@ def test_interval_array_exact_zeros_and_object_round_trip():
     assert obj.dtype == object and obj[1] == ivl(-2.0, -1.0)
     back = IntervalArray.from_object(obj)
     assert np.array_equal(back.lo, x.lo) and np.array_equal(back.hi, x.hi)
-    assert IntervalMatrix(IntervalArray(np.eye(2))).shape == (2, 2)
     assert x[1] == ivl(-2.0, -1.0)
 
 
@@ -417,6 +404,153 @@ def test_matmul_without_rounding_term_fails(monkeypatch):
     assert sum(_kernel_misses(A, X) for A, X in cases) == 0
     monkeypatch.setattr(iv, "_gamma", lambda n: 0.0)
     assert sum(_kernel_misses(A, X) for A, X in cases) > 0
+
+
+def _mul_bounds_reference(a, b):
+    """Array _mul_bounds as it was before the split was shared: Dekker's
+    split inline on both (already broadcast) operands."""
+    p = a * b
+    ca = iv._SPLITTER * a
+    a1 = ca - (ca - a)
+    a2 = a - a1
+    cb = iv._SPLITTER * b
+    b1 = cb - (cb - b)
+    b2 = b - b1
+    err = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    aa, ab = np.abs(a), np.abs(b)
+    safe = (aa > iv._SAFE_LO) & (aa < iv._SAFE_HI) & (ab > iv._SAFE_LO) & (ab < iv._SAFE_HI) & (np.abs(p) > iv._SAFE_LO)
+    zero = (a == 0.0) | (b == 0.0)
+    lo = np.where(zero | (safe & (err >= 0.0)), p, np.nextafter(p, -np.inf))
+    hi = np.where(zero | (safe & (err <= 0.0)), p, np.nextafter(p, np.inf))
+    return lo, hi
+
+
+def _mul_four_stack(x, blo, bhi):
+    """IntervalArray.__mul__ as it was: the endpoints stacked as
+    [lo, lo, hi, hi] x [lo, hi, lo, hi], every endpoint split twice."""
+    shape = (4,) + np.broadcast_shapes(x.lo.shape, np.shape(blo))
+    a, b = np.empty(shape), np.empty(shape)
+    a[:2], a[2:], b[0::2], b[1::2] = x.lo, x.hi, blo, bhi
+    lo, hi = _mul_bounds_reference(a, b)
+    return lo.min(axis=0), hi.max(axis=0)
+
+
+endpoint_floats = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022), 1e300, -1e300, 1.0, -1.0]),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+def _draw_intervals(data, shape):
+    ends = np.array(data.draw(st.lists(st.tuples(endpoint_floats, endpoint_floats),
+                                       min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))))
+    ends = ends.reshape(shape + (2,))
+    return IntervalArray(ends.min(axis=-1), ends.max(axis=-1))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # +-1e300 products overflow
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_interval_array_mul_matches_four_stack(data):
+    """The (2, 1) x (1, 2) outer product, which splits each endpoint once,
+    gives the four-stack product bit for bit, signed zeros included, for
+    zeros, subnormals, +-1e300 and broadcasting (scalar Interval, 0-d, row,
+    column and matrix operands)."""
+    k, q = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    sx, sy = data.draw(st.sampled_from([((k,), (k,)), ((k, 1), (q,)), ((k, 1), (1, q)), ((k,), ()),
+                                        ((), (q,)), ((q, k), (k,)), ((k,), (q, k)), ((k, q), (k, q))]))
+    x = _draw_intervals(data, sx)
+    y = _draw_intervals(data, sy)
+    others = [(y, y.lo, y.hi)]
+    if y.ndim == 0:
+        others.append((Interval(float(y.lo), float(y.hi)), float(y.lo), float(y.hi)))
+    for other, blo, bhi in others:
+        lo, hi = _mul_four_stack(x, blo, bhi)
+        got = x * other
+        assert got.shape == lo.shape
+        assert _bits(got.lo) == _bits(lo) and _bits(got.hi) == _bits(hi)
+
+
+def _random_interval_product(seed, n):
+    """Interval A (k x n) and X (n x q), entries of mixed magnitude, a third
+    point intervals, some straddling zero."""
+    rng = np.random.default_rng(seed)
+    k, q = rng.integers(1, 4, size=2)
+
+    def box(shape):
+        mid = _mixed_floats(rng, shape)
+        scale = np.choose(rng.integers(0, 3, shape), [0.0, rng.uniform(0, 1e-6, shape), rng.uniform(0, 2, shape)])
+        rad = np.abs(mid) * scale
+        return IntervalArray(mid - rad, mid + rad)
+
+    return box((k, n)), box((n, q))
+
+
+def _interval_kernel_misses(A, X) -> int:
+    """Entries of matmul(A, X) that miss the exact range of a @ x over A, X
+    (each term's range is the hull of its four exact endpoint products)."""
+    out = iv.matmul(A, X)
+    misses = 0
+    for i in range(A.shape[0]):
+        for j in range(X.shape[1]):
+            lo = hi = Fraction(0)
+            for al, ah, xl, xh in zip(A.lo[i], A.hi[i], X.lo[:, j], X.hi[:, j]):
+                prods = [Fraction(a) * Fraction(x) for a in (al, ah) for x in (xl, xh)]
+                lo, hi = lo + min(prods), hi + max(prods)
+            misses += not (Fraction(out.lo[i, j]) <= lo and hi <= Fraction(out.hi[i, j]))
+    return misses
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 45), st.integers(0, 2**32 - 1), st.sampled_from([4096, 1, 5, 16]))
+def test_interval_matmul_encloses_exact_product(n, seed, slab):
+    """The endpoint interval x interval product contains the exact range for
+    1..45 inner dimensions, with the default slab and with slabs of 1, 5 and
+    16 products (so the inner index crosses slab boundaries)."""
+    A, X = _random_interval_product(seed, n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(iv, "_SLAB", slab)
+        assert _interval_kernel_misses(A, X) == 0
+
+
+@pytest.mark.parametrize("slab", [4096, 5])
+def test_interval_matmul_equals_scalar_interval_product(slab, monkeypatch):
+    """The endpoint product adds left to right across slab boundaries, so
+    it equals numpy's object ``@`` over scalar Intervals bit for bit."""
+    monkeypatch.setattr(iv, "_SLAB", slab)
+    for n in (1, 2, 9, 10, 11, 41):
+        A, X = _random_interval_product(n, n)
+        ref = IntervalArray.from_object(A.to_object() @ X.to_object())
+        got = iv.matmul(A, X)
+        assert _bits(got.lo) == _bits(ref.lo) and _bits(got.hi) == _bits(ref.hi)
+        rows = A.to_object()
+        ref = IntervalArray.from_object([sum(row[1:], row[0]) for row in rows])
+        got = iv.sum_in_order(A, 1)
+        assert _bits(got.lo) == _bits(ref.lo) and _bits(got.hi) == _bits(ref.hi)
+
+
+def test_interval_matmul_default_slab_boundaries():
+    """20 x n times n x 20 runs slabs of 10 inner indices under the default
+    slab size; n = 9..11, 20 and 41 sit on and around the boundaries."""
+    for n in (9, 10, 11, 20, 41):
+        A, X = (IntervalArray(m - r, m + r) for m, r in (
+            (RNG.normal(size=s), np.abs(RNG.normal(size=s)) * 1e-3) for s in ((20, n), (n, 20))))
+        assert iv._SLAB // 400 == 10
+        assert _interval_kernel_misses(A, X) == 0
+
+
+def test_interval_matmul_without_outward_rounding_fails(monkeypatch):
+    """Planted fault: with _up_arr made the identity the exact-range check
+    must catch the unrounded upper endpoints."""
+    cases = [_random_interval_product(seed, 45) for seed in range(12)]
+    assert sum(_interval_kernel_misses(A, X) for A, X in cases) == 0
+    monkeypatch.setattr(iv, "_up_arr", lambda x: x)
+    assert sum(_interval_kernel_misses(A, X) for A, X in cases) > 0
 
 
 def test_contraction_defect_bounds_exact_norm():

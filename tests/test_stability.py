@@ -184,8 +184,8 @@ class TestIsotypic:
         a = np.asarray(md.lift_rho(ring).vectors, dtype=float)
         hess = md.full_hstar_hessian(a, omega).matrix
         basis = stab.build_slice(ring, a)
-        Bc = stab._stack_columns(basis.blocks[1].columns, "re", False)
-        Cc = stab._stack_columns(basis.blocks[1].columns, "im", False)
+        Bc = stab._stack_columns(basis.blocks[1].columns, "re")
+        Cc = stab._stack_columns(basis.blocks[1].columns, "im")
         Q = (Bc.T @ hess @ Bc + Cc.T @ hess @ Cc) + 1j * (Bc.T @ hess @ Cc - Cc.T @ hess @ Bc)
         assert np.max(np.abs(Q - Q.conj().T)) <= 1e-10
 
@@ -410,3 +410,124 @@ class TestSegmentStability:
         after = [c for c in res.certificates if c.omega_interval[0] >= 1.4199]
         sv_after = stab.stability_over_segment(after[0])
         assert sv_after.point_verdict.verdict == "NotPositive"
+
+
+# ---------------------------------------------------------------------------
+# The array stability layer against the object-array path it replaced
+# ---------------------------------------------------------------------------
+
+
+def _full_hstar_hessian_reference(vecs, omega):
+    """The object-array full-space Hessian of H*_omega over scalar Intervals
+    (double loop over vortex pairs), as the array routine replaced it;
+    returns the matrix and the multipliers."""
+    N = vecs.shape[0]
+    zero3 = lambda: np.array([Interval(0.0)] * 3, dtype=object)
+    norm_sq = lambda d: d[0] * d[0] + d[1] * d[1] + d[2] * d[2]
+    grad = np.empty((N, 3), dtype=object)
+    for j in range(N):
+        acc = zero3()
+        for i in range(N):
+            if i != j:
+                d = vecs[j] - vecs[i]
+                acc = acc + d / norm_sq(d)
+        acc = -acc
+        acc[2] = acc[2] - omega
+        grad[j] = acc
+    c = np.empty(N, dtype=object)
+    for j in range(N):
+        c[j] = vecs[j][0] * grad[j][0] + vecs[j][1] * grad[j][1] + vecs[j][2] * grad[j][2]
+    eye = md.to_interval_array(np.eye(3))
+    H = np.empty((3 * N, 3 * N), dtype=object)
+    H[:, :] = Interval(0.0)
+    for j in range(N):
+        diag = np.full((3, 3), Interval(0.0), dtype=object)
+        for i in range(N):
+            if i == j:
+                continue
+            d = vecs[j] - vecs[i]
+            s = norm_sq(d)
+            outer = np.array([[d[a] * d[b] for b in range(3)] for a in range(3)], dtype=object)
+            blk = eye / s - (2.0 * outer) / s.sqr()
+            H[3 * j : 3 * j + 3, 3 * i : 3 * i + 3] = blk
+            diag = diag - blk
+        H[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] = diag - eye * c[j]
+    return H, c
+
+
+def _assemble_blocks_reference(basis, hess):
+    """The object-array block assembly P^T H P (Hermitian: B/C split) with
+    numpy's object ``@``, as the array routine replaced it."""
+    out = []
+    for blk in basis.blocks:
+        stack = lambda part: np.array(
+            [(c.re if part == "re" else c.im if c.im is not None else IntervalArray(np.zeros(len(c.re)))).to_object()
+             for c in blk.columns], dtype=object).T
+        if blk.kind == "P":
+            P = stack("re")
+            M = P.T @ (hess @ P)
+            out.append(((M + M.T) * 0.5, None))
+        else:
+            Bc, Cc = stack("re"), stack("im")
+            HB, HC = hess @ Bc, hess @ Cc
+            re, im = Bc.T @ HB + Cc.T @ HC, Bc.T @ HC - Cc.T @ HB
+            out.append(((re + re.T) * 0.5, (im - im.T) * 0.5))
+    return out
+
+
+def _branch5_tubes():
+    seed = cat.fixture("bipyramid5", (2, 2, 1))
+    certs = cont.continue_branch(seed, 0.2, 0.3, seed_omega=0.0).certificates
+    return [(certs[k].ring_tube(), certs[k].omega_tube()) for k in (0, 30, min(60, len(certs) - 1))]
+
+
+def _collision_box():
+    return cat.fixture_interval("collision10"), Interval(cat.fixture_entry("collision10").omega)
+
+
+def _widths_within(new, ref) -> bool:
+    """Entrywise width(new) <= width(ref) (1 + 1e-9)."""
+    ref = IntervalArray.from_object(ref)
+    return bool(np.all(new.hi - new.lo <= (ref.hi - ref.lo) * (1.0 + 1e-9)))
+
+
+def _contains(enc, x) -> bool:
+    return bool(np.all((enc.lo <= x) & (x <= enc.hi)))
+
+
+@pytest.mark.parametrize("case", ["branch5", "collision10"])
+def test_array_stability_layer_against_object_reference(case):
+    """On three branch5 tubes (segments 0, 30 and 60) and the m = 1
+    collision10 box: the array Hessian and blocks are no wider than the
+    object-array reference (x (1 + 1e-9)) and contain the float Hessian and
+    blocks at 16 sampled points of the box."""
+    rng = np.random.default_rng(SEED + 16)
+    boxes = _branch5_tubes() if case == "branch5" else [_collision_box()]
+    for ring, omega in boxes:
+        a_obj = md.lift_rho(ring).vectors
+        basis = stab.build_slice(ring, a_obj, normalize=False)
+        if basis.permutation is not None:
+            a_obj = a_obj[basis.permutation]
+        hess = md.full_hstar_hessian(a_obj, omega).matrix
+        blocks = stab.assemble_blocks(basis, hess)
+        H_ref, _ = _full_hstar_hessian_reference(a_obj, omega)
+        assert isinstance(hess, IntervalArray) and _widths_within(hess, H_ref)
+        for blk, (re_ref, im_ref) in zip(blocks, _assemble_blocks_reference(basis, H_ref)):
+            assert isinstance(blk.re, IntervalArray) and _widths_within(blk.re, re_ref)
+            assert im_ref is None or _widths_within(blk.im, im_ref)
+
+        gens = iv.as_array(ring.generators)
+        for _ in range(16):
+            u = gens.lo + rng.uniform(size=gens.shape) * (gens.hi - gens.lo)
+            w = omega.lo + rng.uniform() * (omega.hi - omega.lo)
+            point = md.RingSystem(ring.m, ring.n, ring.p, u, check=False)
+            a = np.asarray(md.lift_rho(point).vectors, dtype=float)
+            pbasis = stab.build_slice(point, a, normalize=False)
+            assert pbasis.permutation == basis.permutation
+            if pbasis.permutation is not None:
+                a = a[pbasis.permutation]
+            H = md.full_hstar_hessian(a, w).matrix
+            assert _contains(hess, H)
+            for blk, pblk in zip(blocks, stab.assemble_blocks(pbasis, H)):
+                assert _contains(blk.re, pblk.re)
+                assert pblk.im is None or _contains(blk.im, pblk.im)
