@@ -95,7 +95,14 @@ class ShapeError(ValueError):
 
 
 class NotVerified(RuntimeError):
-    """A verification (contraction) test failed; not a proof of the negation."""
+    """A verification (contraction) test failed; not a proof of the negation.
+
+    ``defect`` is the contraction defect that failed the test (>= 1), or
+    infinity when none could be measured."""
+
+    def __init__(self, message: str, defect: float = _INF):
+        super().__init__(message)
+        self.defect = defect
 
 
 class UnsupportedSize(ValueError):
@@ -1048,7 +1055,8 @@ def verify_invertible(M) -> InverseEnclosure:
     returns an entrywise enclosure (an IntervalArray) of the set of
     inverses.  Raises
     NotVerified when the bound cannot be established (which is *not* a
-    proof of singularity).
+    proof of singularity); its ``defect`` is ||I - R M|| when that is
+    finite and infinity when R is not.
     """
     X = as_array(M)
     X = X if isinstance(X, IntervalArray) else IntervalArray(X)
@@ -1064,7 +1072,7 @@ def verify_invertible(M) -> InverseEnclosure:
         raise NotVerified("approximate inverse is not finite")
     beta = contraction_defect(R, X)
     if not beta < 1.0:
-        raise NotVerified(f"contraction defect {beta} >= 1")
+        raise NotVerified(f"contraction defect {beta} >= 1", beta if beta >= 1.0 else _INF)
     # ||inv(M) - R||_sup <= ||R||_sup * beta / (1 - beta), applied entrywise.
     norm_r = sup_norm(IntervalArray(R))
     slack = (Interval(norm_r) * beta) / (Interval(1.0) - Interval(beta))

@@ -1107,6 +1107,8 @@ class SegmentStabilityResult:
     whole_segment: bool
     failed_block: int | None = None
     reason: str = ""
+    # sub-segments validated by the subdivision (not part of the verdict)
+    pieces: int = 0
 
     @property
     def verdict(self) -> str:
@@ -1123,15 +1125,35 @@ class SegmentStabilityResult:
         return out
 
 
+# No sub-segment is narrower than 1/_MAX_PIECES of its certified segment.
+_MAX_PIECES = 64
+
+
 def stability_over_segment(certificate, point_certificate=None) -> SegmentStabilityResult:
     """Propagate a point verdict along a certified branch segment.
 
     Positive definiteness at the left endpoint plus certified invertibility
     of every block over the whole tube extend the verdict to the segment by
-    continuity of eigenvalues.  If invertibility fails the verdict is
+    continuity of eigenvalues.  When a block's invertibility fails with
+    contraction defect beta, the failing (sub-)segment is split once into
+    floor(beta) + 1 equal pieces: the interior points are polished, and each
+    piece is validated afresh with ``nk_validate_segment`` (a much tighter
+    tube) when it is taken up, then its tube is checked; a piece that still
+    fails is split by its own defect.  The pieces tile the segment and
+    neighbours share one polished endpoint, so invertibility on every piece
+    tube covers the whole branch and the continuity argument goes through.
+    No piece is narrower than 1/64 of the segment: if a split would give
+    fewer than two pieces, or a refinement step fails, the verdict is
     limited to the endpoint.
     """
-    from .continuation import nk_validate_point
+    from .continuation import (
+        AugmentedPoint,
+        NoConvergence,
+        NotValidated,
+        newton_polish,
+        nk_validate_point,
+        nk_validate_segment,
+    )
 
     if point_certificate is None:
         point_certificate = nk_validate_point(
@@ -1143,6 +1165,8 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
         return SegmentStabilityResult(point_verdict=verdict0, whole_segment=False, reason="endpoint not certified stable")
 
     def blocks_invertible(cert):
+        """None, or (block l, reason, contraction defect) of the first block
+        whose invertibility over the tube is not verified."""
         tube = cert.ring_tube()
         omega_tube = cert.omega_tube()
         a = iv.as_array(lift_rho(tube).vectors)
@@ -1155,8 +1179,10 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
             try:
                 iv.verify_invertible(blk.realified())
             except NotVerified as exc:
-                return blk.l, str(exc)
+                return blk.l, str(exc), exc.defect
         return None
+
+    pieces = 0
 
     def fail(reason_block, reason_text):
         return SegmentStabilityResult(
@@ -1164,30 +1190,44 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
             whole_segment=False,
             failed_block=reason_block,
             reason=f"block l={reason_block} invertibility over the tube not verified: {reason_text}",
+            pieces=pieces,
         )
 
-    # Bisect with re-validation: sub-segments get fresh (much tighter)
-    # contraction radii, so the sub-tubes shrink quadratically in the step.
-    from .continuation import AugmentedPoint, NoConvergence, NotValidated, newton_polish, nk_validate_segment
-
-    max_depth = 6
-    stack = [(certificate, 0)]
+    anchor, m, p = certificate.anchor, certificate.m, certificate.p
+    # (left point, right point, 1/width as a fraction of the segment, the
+    # failure of the piece it was split from; None for the segment itself)
+    stack = [(certificate.x0, certificate.x1, 1, None)]
     while stack:
-        cert, depth = stack.pop()
+        a, b, denominator, parent = stack.pop()
+        if parent is None:
+            cert = certificate
+        else:
+            pieces += 1
+            try:
+                cert = nk_validate_segment(a, b, anchor, m, p)
+            except (NoConvergence, NotValidated) as exc:
+                return fail(parent[0], f"{parent[1]} (refinement failed: {exc})")
         failed = blocks_invertible(cert)
         if failed is None:
             continue
-        if depth >= max_depth:
-            return fail(*failed)
-        xm = 0.5 * (cert.x0.flat() + cert.x1.flat())
-        wm = 0.5 * (cert.x0.omega + cert.x1.omega)
+        block, text, defect = failed
+        # The defect falls about linearly with the width, so floor(defect) + 1
+        # is the smallest count expected to pass (2 if none was measured).
+        wanted = math.floor(defect) + 1 if math.isfinite(defect) else 2
+        count = min(wanted, _MAX_PIECES // denominator)
+        if count < 2:
+            return fail(block, text)
+        xa, xb = a.flat(), b.flat()
+        points = [a]
         try:
-            xm_pol = newton_polish(xm, wm, cert.anchor, cert.m, cert.p)
-            mid = AugmentedPoint.from_flat(xm_pol, wm)
-            left = nk_validate_segment(cert.x0, mid, cert.anchor, cert.m, cert.p)
-            right = nk_validate_segment(mid, cert.x1, cert.anchor, cert.m, cert.p)
-        except (NoConvergence, NotValidated) as exc:
-            return fail(failed[0], f"{failed[1]} (refinement failed: {exc})")
-        stack.append((left, depth + 1))
-        stack.append((right, depth + 1))
-    return SegmentStabilityResult(point_verdict=verdict0, whole_segment=True)
+            for i in range(1, count):
+                t = i / count
+                w = a.omega + t * (b.omega - a.omega)
+                points.append(AugmentedPoint.from_flat(newton_polish(xa + t * (xb - xa), w, anchor, m, p), w))
+        except NoConvergence as exc:
+            return fail(block, f"{text} (refinement failed: {exc})")
+        points.append(b)
+        # pushed right to left, so the leftmost piece is taken up first
+        for k in range(count, 0, -1):
+            stack.append((points[k - 1], points[k], denominator * count, (block, text)))
+    return SegmentStabilityResult(point_verdict=verdict0, whole_segment=True, pieces=pieces)

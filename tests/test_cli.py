@@ -11,6 +11,7 @@ import pytest
 from vortexcert import cli
 from vortexcert import model as md
 from vortexcert import catalog as cat
+from vortexcert import continuation as cont
 
 
 def run_cli(args):
@@ -155,6 +156,27 @@ class TestContinueAndDiagram:
         cert.write_text(json.dumps(payload))
         assert run_cli(["stability", cert]) == 1
         assert "lacks the field 'm'" in capsys.readouterr().err
+
+    def test_stability_manifest_counts_subsegment_validations(self, tmp_path, monkeypatch):
+        chain = tmp_path / "chain.json"
+        run_cli(
+            ["continue", "--fixture", "bipyramid5", "--label", "2,2,1", "--seed-omega", 0.0,
+             "--omega-from", 0.28, "--omega-to", 0.282, "--out", chain, "--workers", 1]
+        )
+        calls = []
+        validate = cont.nk_validate_segment
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return validate(*args, **kwargs)
+
+        monkeypatch.setattr(cont, "nk_validate_segment", spy)
+        verd = tmp_path / "v.json"
+        assert run_cli(["stability", chain, "--out", verd]) == 0
+        stages = json.loads((tmp_path / "v.json.manifest.json").read_text())["stages"]
+        assert stages["segments"] == len(json.loads(chain.read_text()))
+        assert stages["subsegment_validations"] == len(calls) > 0
+        assert 2 <= stages["max_segment_pieces"] <= stages["subsegment_validations"]
 
     def test_diagram_black_row_for_stall(self, tmp_path):
         chain = tmp_path / "chain.json"

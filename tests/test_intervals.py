@@ -243,6 +243,22 @@ class TestVectorsMatrices:
         with pytest.raises(NotVerified):
             verify_invertible(M)
 
+    def test_verify_invertible_near_singular_reports_defect(self):
+        """An interval matrix about a nearly singular midpoint fails with
+        the finite contraction defect it measured."""
+        mid = np.array([[1.0, 1.0], [1.0, 1.001]])
+        with pytest.raises(NotVerified) as info:
+            verify_invertible(IntervalArray(mid - 0.01, mid + 0.01))
+        beta = info.value.defect
+        assert math.isfinite(beta) and beta >= 1.0
+        assert str(beta) in str(info.value)
+
+    def test_verify_invertible_singular_midpoint_infinite_defect(self):
+        mid = np.array([[1.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NotVerified) as info:
+            verify_invertible(IntervalArray(mid - 0.01, mid + 0.01))
+        assert info.value.defect == math.inf
+
     def test_verify_invertible_random_well_conditioned(self):
         """Float oracle: condition number bounded, verification must pass."""
         for _ in range(5):

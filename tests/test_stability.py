@@ -411,6 +411,77 @@ class TestSegmentStability:
         sv_after = stab.stability_over_segment(after[0])
         assert sv_after.point_verdict.verdict == "NotPositive"
 
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record every sub-segment validation (its certificate) and every
+        failed invertibility check (its NotVerified) of the calls that follow."""
+        validated, failures = [], []
+        validate, verify = cont.nk_validate_segment, iv.verify_invertible
+
+        def spy_validate(*args, **kwargs):
+            cert = validate(*args, **kwargs)
+            validated.append(cert)
+            return cert
+
+        def spy_verify(M):
+            try:
+                return verify(M)
+            except iv.NotVerified as exc:
+                failures.append(exc)
+                raise
+
+        monkeypatch.setattr(cont, "nk_validate_segment", spy_validate)
+        monkeypatch.setattr(iv, "verify_invertible", spy_verify)
+        return validated, failures
+
+    def test_n5_subdivision_tiles_segment(self, monkeypatch):
+        """The root tube fails with defect beta and is split once into
+        floor(beta) + 1 pieces; the pieces that pass tile the segment, and
+        neighbours share one polished point bit for bit."""
+        cert = self._n5_certs(0.28, 0.29)[0]
+        validated, failures = self._spy(monkeypatch)
+        sv = stab.stability_over_segment(cert)
+        assert sv.whole_segment and sv.pieces == len(validated)
+        assert failures, "the root tube is expected to need a split"
+
+        def same(a, b):
+            return a.omega == b.omega and np.array_equal(a.flat(), b.flat())
+
+        # Pieces are validated depth first, left to right: a piece that was
+        # split again is followed by its first child, which shares its left end.
+        leaves = [c for c, nxt in zip(validated, validated[1:]) if not same(c.x0, nxt.x0)]
+        leaves.append(validated[-1])
+        assert same(leaves[0].x0, cert.x0) and same(leaves[-1].x1, cert.x1)
+        for left, right in zip(leaves, leaves[1:]):
+            assert same(left.x1, right.x0)
+        omegas = [c.x0.omega for c in leaves] + [cert.x1.omega]
+        assert all(a < b for a, b in zip(omegas, omegas[1:]))
+
+        # The root's pieces: those not inside an earlier validated piece.
+        def inside(c, outer):
+            return outer.x0.omega <= c.x0.omega and c.x1.omega <= outer.x1.omega
+
+        top = [c for k, c in enumerate(validated) if not any(inside(c, o) for o in validated[:k])]
+        assert len(top) == math.floor(failures[0].defect) + 1
+        assert same(top[0].x0, cert.x0) and same(top[-1].x1, cert.x1)
+
+    def test_n6_crossing_subdivision_floor(self, monkeypatch):
+        """Across the stability loss the split stops at pieces 1/64 of the
+        segment: at most 64 sub-segment validations, then a verdict limited
+        to the endpoint that names the failing block."""
+        seed = cat.fixture("octahedron", (3, 2, 0))
+        res = cont.continue_branch(seed, 1.41, 1.43, step=5e-3, seed_omega=0.0)
+        crossing = [c for c in res.certificates if c.omega_interval[0] <= 1.4150 <= c.omega_interval[1]]
+        validated, _ = self._spy(monkeypatch)
+        sv = stab.stability_over_segment(crossing[0])
+        assert not sv.whole_segment
+        assert 1 <= len(validated) == sv.pieces <= 64
+        # the crossing block's defect asks for more than 64 pieces: capped
+        width = crossing[0].x1.omega - crossing[0].x0.omega
+        assert validated[0].x1.omega - validated[0].x0.omega == pytest.approx(width / 64, rel=1e-9)
+        assert sv.failed_block is not None
+        assert f"block l={sv.failed_block} " in sv.reason
+
 
 # ---------------------------------------------------------------------------
 # The array stability layer against the object-array path it replaced
