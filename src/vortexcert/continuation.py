@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from . import intervals as iv
 from .intervals import DomainError, Interval, IntervalArray
 from .model import (
     RingSystem,
+    _as_stack,
     grad_hstar,
     hess_hstar,
     j3_rows,
@@ -121,53 +123,70 @@ class AugmentedPoint:
         )
 
 
-def _split(x: np.ndarray, n: int):
-    u = x[: 3 * n].reshape(n, 3)
-    lam = x[3 * n : 4 * n]
-    alpha = x[4 * n]
-    return u, lam, alpha
+def _split(x, n: int):
+    """(u, lambda, alpha) of a flat point, or of each row of a stack."""
+    u = x[..., : 3 * n].reshape(x.shape[:-1] + (n, 3))
+    return u, x[..., 3 * n : 4 * n], x[..., 4 * n]
 
 
 def augmented_map_F(x, omega, b0: np.ndarray, m: int, p: int):
     """Assemble F; x is the flat (4n+1)-vector (floats, or intervals given
-    as an object array of Interval, which yields an IntervalArray)."""
+    as an object array of Interval, which yields an IntervalArray).
+
+    x may also be a (B, 4n+1) stack with omega a scalar or one value per
+    row: the result is the (B, 4n+1) stack of F values, each row equal bit
+    for bit to its own call; a single x is the one-element stack."""
     b0 = np.asarray(b0, dtype=float)
     n = b0.shape[0]
-    u, lam, _ = _split(x, n)
+    X, single = _as_stack(x, 1)
+    u, lam, _ = _split(X, n)
     grad = grad_hstar(u, lam, omega, m, p)
-    U, _, alpha = _split(iv.as_array(x), n)
-    return iv.concatenate(
+    U, _, alpha = _split(iv.as_array(X), n)
+    F = iv.concatenate(
         [
-            (grad + alpha * j3_rows(U)).reshape(-1),
-            (iv.sqr(U).sum(axis=1) - 1.0) * 0.5,
-            (j3_rows(b0) * (U - b0)).sum(),
-        ]
+            (grad + alpha[:, None, None] * j3_rows(U)).reshape(len(U), -1),
+            (iv.sqr(U).sum(axis=-1) - 1.0) * 0.5,
+            (j3_rows(b0) * (U - b0)).reshape(len(U), -1).sum(axis=-1)[:, None],
+        ],
+        axis=1,
     )
+    return F[0] if single else F
 
 
 def jacobian_F(x, omega, b0: np.ndarray, m: int, p: int):
     """Jacobian of F with respect to (u, lambda, alpha); an IntervalArray
-    for interval x."""
+    for interval x.  A (B, 4n+1) stack x gives the (B, 4n+1, 4n+1) stack of
+    Jacobians; a single x is the one-element stack."""
     b0 = np.asarray(b0, dtype=float)
     n = b0.shape[0]
-    u, lam, _ = _split(x, n)
+    X, single = _as_stack(x, 1)
+    u, lam, _ = _split(X, n)
     H = hess_hstar(u, lam, omega, m, p)
-    U, _, alpha = _split(iv.as_array(x), n)
-    d = 4 * n + 1
-    DF = iv.zeros((d, d), like=H)
-    DF[: 3 * n, : 3 * n] = H
+    U, _, alpha = _split(iv.as_array(X), n)
+    B, d = len(U), 4 * n + 1
+    r, k, lam_k = _jacobian_index(n)
+    DF = iv.zeros((B, d, d), like=H)
+    DF[:, : 3 * n, : 3 * n] = H
     # alpha * J3 on the diagonal blocks
-    r = 3 * np.arange(n)
-    DF[r, r + 1] = DF[r, r + 1] - alpha
-    DF[r + 1, r] = DF[r + 1, r] + alpha
+    alpha = alpha[:, None]
+    DF[:, r, r + 1] = DF[:, r, r + 1] - alpha
+    DF[:, r + 1, r] = DF[:, r + 1, r] + alpha
     # multiplier columns m * u_j and constraint rows u_j
-    k = np.arange(3 * n)
-    DF[k, 3 * n + k // 3] = float(m) * U.reshape(-1)
-    DF[3 * n + k // 3, k] = U.reshape(-1)
+    u_flat = U.reshape(B, -1)
+    DF[:, k, lam_k] = float(m) * u_flat
+    DF[:, lam_k, k] = u_flat
     # unfolding column J3 u_j and section row J3 b0_j
-    DF[k, 4 * n] = j3_rows(U).reshape(-1)
-    DF[4 * n, k] = j3_rows(b0).reshape(-1)
-    return DF
+    DF[:, k, 4 * n] = j3_rows(U).reshape(B, -1)
+    DF[:, 4 * n, k] = j3_rows(b0).reshape(-1)
+    return DF[0] if single else DF
+
+
+@lru_cache(maxsize=64)
+def _jacobian_index(n: int):
+    """Index arrays of jacobian_F: the first row of each generator block,
+    every u coordinate, and the multiplier row/column of each coordinate."""
+    k = np.arange(3 * n)
+    return 3 * np.arange(n), k, 3 * n + k // 3
 
 
 def jacobian_F_omega(x, b0: np.ndarray, m: int, p: int):
@@ -180,45 +199,86 @@ def jacobian_F_omega(x, b0: np.ndarray, m: int, p: int):
     return IntervalArray(out) if interval_mode else out
 
 
+_STEP_ERRORS = (DomainError, np.linalg.LinAlgError, FloatingPointError, OverflowError)
+
+
 def newton_polish(
     x0: np.ndarray,
-    omega: float,
+    omega,
     b0: np.ndarray,
     m: int,
     p: int,
     tol: float = 1e-13,
     max_iter: int = 40,
 ) -> np.ndarray:
-    """Float Newton iteration on F at fixed omega and anchor."""
-    x = np.asarray(x0, dtype=float).copy()
-    best_x = None
-    best_res = math.inf
-    stalled = 0
-    for _ in range(max_iter):
-        try:
-            Fx = augmented_map_F(x, omega, b0, m, p)
-            res = float(np.max(np.abs(Fx)))
-            if res < best_res:
-                best_res = res
-                best_x = x.copy()
-                stalled = 0
-            else:
-                stalled += 1
-            # below target, keep polishing to the rounding floor
-            if res <= tol and stalled >= 2:
-                return best_x
-            if stalled >= 4:
-                break
-            DF = jacobian_F(x, omega, b0, m, p)
-            step = np.linalg.solve(DF, Fx)
-        except (DomainError, np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+    """Float Newton iteration on F at fixed omega and anchor.
+
+    x0 may be a (B, 4n+1) stack of starting points with omega a scalar or
+    one value per point.  The stack runs as a masked batch loop in which
+    every point follows its own iteration sequence, so each polished row
+    equals its own call bit for bit; a single point is the one-element
+    stack.  A stack returns the (B, 4n+1) polished points or raises the
+    NoConvergence of the first point, in stack order, that fails.
+    """
+    X, single = _as_stack(np.asarray(x0, dtype=float), 1)
+    W = np.broadcast_to(np.asarray(omega, dtype=float), X.shape[:1])
+    try:
+        out, failures = _newton_stack(X, W, b0, m, p, tol, max_iter)
+    except _STEP_ERRORS as exc:
+        if single:
             raise NoConvergence(f"Newton step failed: {exc}") from None
-        if not np.all(np.isfinite(step)):
-            raise NoConvergence("Newton step is not finite")
+        # a point whose step raises must not end the others: polish each alone
+        return np.stack([newton_polish(x, w, b0, m, p, tol, max_iter) for x, w in zip(X, W)])
+    first = next((f for f in failures if f is not None), None)
+    if first is not None:
+        raise first
+    return out[0] if single else out
+
+
+def _newton_stack(X, W, b0, m, p, tol, max_iter):
+    """The masked batch loop of ``newton_polish``: (best points, per point
+    None or its NoConvergence).  F, DF and the solve run on the stack of
+    the points still iterating; each point's own bookkeeping (best residual,
+    stall count, exit) is kept per point.  An exception of a stacked F, DF
+    or solve is passed on."""
+    B = len(X)
+    best_x, best_res, stalled = X.copy(), [math.inf] * B, [0] * B
+    failures = [None] * B
+    # the points still iterating: their indices, iterates and omegas
+    live, x, w = list(range(B)), X.copy(), np.asarray(W)
+    for _ in range(max_iter):
+        Fx = augmented_map_F(x, w, b0, m, p)
+        go = []
+        for r, (i, res) in enumerate(zip(live, np.abs(Fx).max(axis=-1).tolist())):
+            if res < best_res[i]:
+                best_res[i], stalled[i] = res, 0
+                best_x[i] = x[r]
+            else:
+                stalled[i] += 1
+            # below target, keep polishing to the rounding floor
+            if stalled[i] < 4 and not (res <= tol and stalled[i] >= 2):
+                go.append(r)
+        if len(go) < len(live):
+            live, x, w, Fx = [live[r] for r in go], x[go], w[go], Fx[go]
+            if not live:
+                break
+        step = np.linalg.solve(jacobian_F(x, w, b0, m, p), Fx[..., None])[..., 0]
+        finite = np.isfinite(step).all(axis=-1).tolist()
+        if not all(finite):
+            for i, ok in zip(live, finite):
+                if not ok:
+                    failures[i] = NoConvergence("Newton step is not finite")
+            go = [r for r, ok in enumerate(finite) if ok]
+            live, x, w, step = [live[r] for r in go], x[go], w[go], step[go]
+            if not live:
+                break
         x = x - step
-    if best_res <= tol:
-        return best_x
-    raise NoConvergence(f"residual {best_res:.3e} above target {tol:.1e} after {max_iter} iterations")
+    for i in range(B):
+        if failures[i] is None and not best_res[i] <= tol:
+            failures[i] = NoConvergence(
+                f"residual {best_res[i]:.3e} above target {tol:.1e} after {max_iter} iterations"
+            )
+    return best_x, failures
 
 
 @dataclass
@@ -362,7 +422,9 @@ class BranchCertificate:
         )
 
 
-def _approx_inverse(x: np.ndarray, omega: float, b0, m: int, p: int) -> np.ndarray:
+def _approx_inverse(x: np.ndarray, omega, b0, m: int, p: int) -> np.ndarray:
+    """Float inverse of DF at x, or the stack of inverses for a stack of
+    points; NotValidated when any of them fails."""
     DF = jacobian_F(x, omega, b0, m, p)
     try:
         A = np.linalg.inv(np.asarray(DF, dtype=float))
@@ -373,52 +435,72 @@ def _approx_inverse(x: np.ndarray, omega: float, b0, m: int, p: int) -> np.ndarr
     return A
 
 
-def _contraction_bound(A, box, omega_iv, b0, m, p) -> float:
+def _contraction_bound(A, box, omega_iv, b0, m, p):
     return iv.contraction_defect(A, jacobian_F(box, omega_iv, b0, m, p))
 
 
-def _find_radius(A, center: IntervalArray, omega_iv, b0, m, p, Y, Yhat, r_star, Z_base=None):
-    """Shrink r* until the radii polynomial admits a root, or fail fast.
+def _find_radius(A, center: IntervalArray, omega_iv, b0, m, p, Y, Yhat, r_star, Z_base=None) -> list:
+    """Shrink r* until the radii polynomial admits a root, or fail fast, for
+    each member of a stack (A of shape (B, d, d), center (B, d), omega_iv,
+    Y, Yhat and Z_base (B,)); per member its NKBounds or its NotValidated.
 
-    Z(r) is monotone in r, so a contraction defect >= 1 already on the
-    unpadded hull rules out every radius.
+    Every member keeps its own radius sequence; the padded boxes of the
+    members still searching share one stacked Jacobian per round.  Z(r) is
+    monotone in r, so a contraction defect >= 1 already on the unpadded hull
+    rules out every radius.
     """
     if Z_base is None:
         Z_base = _contraction_bound(A, center.to_object(), omega_iv, b0, m, p)
-    if Z_base >= 1.0:
-        raise NotValidated(
-            f"contraction defect {Z_base:.3e} >= 1 on the segment hull "
-            "(Jacobian enclosure not verifiably invertible)",
-            Y=Y,
-            Yhat=Yhat,
-            Z=Z_base,
-        )
-    need = max(Y + Yhat, 1e-300)
-    # Z grows with the radius, so start just above the smallest radius that
-    # could accommodate the root and enlarge only as the defect demands.
-    r = min(r_star, max(4.0 * need / (1.0 - Z_base), _R_STAR_FLOOR))
-    Z_last = Z_base
-    for _ in range(8):
-        Z = _contraction_bound(A, center.pad(r).to_object(), omega_iv, b0, m, p)
-        r0 = _choose_r0(Y, Yhat, Z, r)
-        if r0 is not None:
-            return NKBounds(Y=Y, Yhat=Yhat, Z=Z, r_star=r, r0=r0)
-        Z_last = Z
+    Y, Yhat, Z_base = np.asarray(Y).tolist(), np.asarray(Yhat).tolist(), np.asarray(Z_base).tolist()
+    out = [None] * len(Y)
+    need, r, Z_last = [0.0] * len(Y), [0.0] * len(Y), list(Z_base)
+    for i, Z in enumerate(Z_base):
         if Z >= 1.0:
-            r_next = 0.5 * r
-            if r_next < 2.0 * need:
-                break
-        else:
-            r_next = min(r_star, 1.5 * need / (1.0 - Z))
-            if r_next <= r:
-                break
-        r = r_next
-    raise NotValidated(
-        f"no admissible radius (Y = {Y:.3e}, Yhat = {Yhat:.3e}, Z = {Z_last:.3e}, r* = {r:.1e})",
-        Y=Y,
-        Yhat=Yhat,
-        Z=Z_last,
-    )
+            out[i] = NotValidated(
+                f"contraction defect {Z:.3e} >= 1 on the segment hull "
+                "(Jacobian enclosure not verifiably invertible)",
+                Y=Y[i],
+                Yhat=Yhat[i],
+                Z=Z,
+            )
+            continue
+        need[i] = max(Y[i] + Yhat[i], 1e-300)
+        # Z grows with the radius, so start just above the smallest radius that
+        # could accommodate the root and enlarge only as the defect demands.
+        r[i] = min(r_star, max(4.0 * need[i] / (1.0 - Z), _R_STAR_FLOOR))
+    live = [i for i in range(len(Y)) if out[i] is None]
+    for _ in range(8):
+        if not live:
+            break
+        k = np.array(live)
+        box = center[k].pad(np.array(r)[k, None]).to_object()
+        searching = []
+        for i, Z in zip(live, _contraction_bound(A[k], box, omega_iv[k], b0, m, p).tolist()):
+            r0 = _choose_r0(Y[i], Yhat[i], Z, r[i])
+            if r0 is not None:
+                out[i] = NKBounds(Y=Y[i], Yhat=Yhat[i], Z=Z, r_star=r[i], r0=r0)
+                continue
+            Z_last[i] = Z
+            if Z >= 1.0:
+                r_next = 0.5 * r[i]
+                if r_next < 2.0 * need[i]:
+                    continue
+            else:
+                r_next = min(r_star, 1.5 * need[i] / (1.0 - Z))
+                if r_next <= r[i]:
+                    continue
+            r[i] = r_next
+            searching.append(i)
+        live = searching
+    for i, bounds in enumerate(out):
+        if bounds is None:
+            out[i] = NotValidated(
+                f"no admissible radius (Y = {Y[i]:.3e}, Yhat = {Yhat[i]:.3e}, Z = {Z_last[i]:.3e}, r* = {r[i]:.1e})",
+                Y=Y[i],
+                Yhat=Yhat[i],
+                Z=Z_last[i],
+            )
+    return out
 
 
 def _choose_r0(Y: float, Yhat: float, Z: float, r_star: float):
@@ -448,48 +530,81 @@ def nk_validate_point(
     omega = point.omega
     A = _approx_inverse(x, omega, b0, m, p)
     Y = iv.sup_norm(A @ augmented_map_F(to_interval_array(x), Interval(omega), b0, m, p))
-    bounds = _find_radius(A, IntervalArray(x), Interval(omega), b0, m, p, Y, 0.0, r_star)
+    [bounds] = _find_radius(A[None], IntervalArray(x)[None], IntervalArray([omega]), b0, m, p, [Y], [0.0], r_star)
+    if isinstance(bounds, NotValidated):
+        raise bounds
     return PointCertificate(
         m=m, n=(len(x) - 1) // 4, p=p, point=point, bounds=bounds, anchor=np.asarray(b0, dtype=float)
     )
 
 
-def nk_validate_segment(
-    x0: AugmentedPoint,
-    x1: AugmentedPoint,
-    b0: np.ndarray,
-    m: int,
-    p: int,
-    r_star: float = DEFAULT_R_STAR,
-) -> BranchCertificate:
-    """Validate the linear segment between two polished points."""
-    xf0 = x0.flat()
-    xf1 = x1.flat()
-    w0, w1 = x0.omega, x1.omega
-    A = _approx_inverse(xf0, w0, b0, m, p)
-    Y = iv.sup_norm(A @ augmented_map_F(to_interval_array(xf0), Interval(w0), b0, m, p))
+def nk_validate_segment(x0, x1, b0: np.ndarray, m: int, p: int, r_star: float = DEFAULT_R_STAR):
+    """Validate the linear segment between two polished points.
 
-    hull = IntervalArray(np.minimum(xf0, xf1), np.maximum(xf0, xf1))
-    w_hull = Interval(min(w0, w1), max(w0, w1))
+    x0 and x1 may also be equal-length sequences of AugmentedPoints, a
+    stack of segments on one anchor: the stack is validated with stacked
+    evaluations (F, the hull and padded-box Jacobians, the products and
+    norms), each segment keeping its own radius sequence, and the result is
+    a list with, per segment, its BranchCertificate or the exception its
+    validation raised (a NotValidated as a rule), each equal to what the
+    segment's own call returns or raises.  A single segment is the
+    one-element stack, and its failure is raised.
+    """
+    single = isinstance(x0, AugmentedPoint)
+    x0s, x1s = ([x0], [x1]) if single else (list(x0), list(x1))
+    try:
+        out = _validate_segments(x0s, x1s, b0, m, p, r_star)
+    except (NotValidated, DomainError) as exc:
+        if single:
+            raise
+        # a failure that a stacked step cannot pin on one segment: each alone
+        out = []
+        for a, b in zip(x0s, x1s):
+            try:
+                out += _validate_segments([a], [b], b0, m, p, r_star)
+            except (NotValidated, DomainError) as failure:
+                out.append(failure)
+    if single and isinstance(out[0], Exception):
+        raise out[0]
+    return out[0] if single else out
+
+
+def _validate_segments(x0s: list, x1s: list, b0, m: int, p: int, r_star: float) -> list:
+    """The stacked validation of ``nk_validate_segment``: per segment its
+    BranchCertificate or the NotValidated of its radius search.  A failed
+    approximate inverse or a DomainError of any segment is raised."""
+    X0 = np.stack([a.flat() for a in x0s])
+    X1 = np.stack([b.flat() for b in x1s])
+    W0 = np.array([a.omega for a in x0s], dtype=float)
+    W1 = np.array([b.omega for b in x1s], dtype=float)
+    A = _approx_inverse(X0, W0, b0, m, p)
+    F0 = augmented_map_F(to_interval_array(X0), IntervalArray(W0), b0, m, p)
+    Y = iv.sup_norm(iv.matmul(A, F0[..., None])[..., 0], stacked=True)
+
+    hull = IntervalArray(np.minimum(X0, X1), np.maximum(X0, X1))
+    w_hull = IntervalArray(np.minimum(W0, W1), np.maximum(W0, W1))
     # mean-value bound: F(xs, ws) - F(x0, w0) = s * [DF(hull) dx + F_w(hull) dw]
     # for s in [0, 1]; its sup norm is largest at s = 1
     hull_obj = hull.to_object()
     DF_hull = jacobian_F(hull_obj, w_hull, b0, m, p)
-    dx = xf1 - xf0
+    dx = X1 - X0
     # dx carries one rounding: |dx - (x1 - x0)| <= u |dx| componentwise
-    dx_slack = iv.sup_norm(DF_hull) * float(np.max(np.abs(dx))) * 2.0**-52
+    dx_slack = (iv.sup_norm(DF_hull, stacked=True) * np.max(np.abs(dx), axis=-1) * 2.0**-52)[:, None]
     vec = (
-        DF_hull @ dx
+        # DF(hull) dx, formed as the vector-matrix product dx DF(hull)^T
+        iv.matmul(dx[:, None, :], DF_hull.transpose(0, 2, 1))[:, 0]
         + IntervalArray(-dx_slack, dx_slack)
-        + jacobian_F_omega(hull_obj, b0, m, p) * (Interval(w1) - Interval(w0))
+        + jacobian_F_omega(hull_obj, b0, m, p) * (IntervalArray(W1) - IntervalArray(W0))[:, None]
     )
-    Yhat = iv.sup_norm(A @ vec)
+    Yhat = iv.sup_norm(iv.matmul(A, vec[..., None])[..., 0], stacked=True)
 
     Z_base = iv.contraction_defect(A, DF_hull)
     bounds = _find_radius(A, hull, w_hull, b0, m, p, Y, Yhat, r_star, Z_base=Z_base)
-    return BranchCertificate(
-        m=m, n=x0.n, p=p, anchor=np.asarray(b0, dtype=float), x0=x0, x1=x1, bounds=bounds
-    )
+    anchor = np.asarray(b0, dtype=float)
+    return [
+        b if isinstance(b, NotValidated) else BranchCertificate(m=m, n=a.n, p=p, anchor=anchor, x0=a, x1=c, bounds=b)
+        for a, c, b in zip(x0s, x1s, bounds)
+    ]
 
 
 @dataclass

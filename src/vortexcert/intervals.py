@@ -951,8 +951,8 @@ def sqr(x):
 _SLAB = 4096  # endpoint products held at once by the interval x interval product
 
 
-def _check_inner(A, X):
-    if np.ndim(A) not in (1, 2) or np.ndim(X) not in (1, 2) or np.shape(A)[-1] != np.shape(X)[0]:
+def _check_inner(A, X, most: int):
+    if not (1 <= np.ndim(A) <= most and 1 <= np.ndim(X) <= most) or np.shape(A)[-1] != np.shape(X)[-min(2, np.ndim(X))]:
         raise ShapeError(f"matrix product shapes {np.shape(A)} x {np.shape(X)}")
 
 
@@ -965,7 +965,8 @@ def matmul(A, X) -> IntervalArray:
     about _SLAB products each.  Every product and addition is rounded
     outward, so each entry contains the exact range of the dot product.
     This is the entrywise interval product; a midpoint-radius form can be
-    up to 1.5 times wider on wide operands (Rump 1999).
+    up to 1.5 times wider on wide operands (Rump 1999).  It takes vectors
+    and matrices only.
 
     A float matrix (or vector) A takes the midpoint-radius product (S. M.
     Rump, "Fast and parallel interval arithmetic", BIT 39, 1999) with two
@@ -983,11 +984,18 @@ def matmul(A, X) -> IntervalArray:
     one ulp outward.  Where every product a_ik x_kj has an exactly zero
     factor the result entry is an exact zero: no rounding and no underflow
     term are applied there.
+
+    The float-A product also takes stacks of matrices, with numpy's
+    ``matmul`` broadcasting over the leading axes (a stack of vectors is a
+    stack of one-column or one-row matrices); the underflow term then uses
+    the largest |a_ik| of each matrix of the stack, so every matrix of a
+    stack gets the bits it gets alone.
     """
     A, X = as_array(A), as_array(X)
-    _check_inner(A, X)
     if isinstance(A, IntervalArray):
+        _check_inner(A, X, 2)
         return _endpoint_matmul(A, X if isinstance(X, IntervalArray) else IntervalArray(X))
+    _check_inner(A, X, np.inf)
     X = X if isinstance(X, IntervalArray) else IntervalArray(X)
     n = A.shape[-1]
     mid, rad = X._midrad()
@@ -995,7 +1003,11 @@ def matmul(A, X) -> IntervalArray:
     abs_a = np.abs(A)
     R = (abs_a @ (rad + _gamma(n) * np.abs(mid))) * (1.0 + 2.0 * _gamma(n + 4))
     touched = (A != 0.0) @ ((mid != 0.0) | (rad != 0.0))
-    underflow = _ETA * (4.0 * n + 4.0) * (1.0 + (float(abs_a.max()) if abs_a.size else 0.0))
+    if A.ndim > 2:  # the largest |a_ik| of each matrix of the stack
+        amax = abs_a.max(axis=(-2, -1), keepdims=True) if abs_a.size else np.zeros((1, 1))
+    else:
+        amax = float(abs_a.max()) if abs_a.size else 0.0
+    underflow = _ETA * (4.0 * n + 4.0) * (1.0 + amax)
     R = R + np.where(touched, underflow, 0.0)
     rounded = R != 0.0
     return IntervalArray._mk(
@@ -1017,23 +1029,31 @@ def _endpoint_matmul(A: IntervalArray, X: IntervalArray) -> IntervalArray:
     return out[0] if vec_a else out
 
 
-def sup_norm(X: IntervalArray) -> float:
+def sup_norm(X: IntervalArray, stacked: bool = False):
     """Upper bound of the sup norm of every point vector (1-d) or of the
-    induced sup norm of every point matrix (2-d) in X."""
+    induced sup norm of every point matrix (2-d) in X.
+
+    With ``stacked`` the leading axis of X indexes a stack of vectors
+    (2-d X) or matrices (3-d X) and the result is a float array with one
+    bound per member; a single X is the one-element stack."""
+    X = X if stacked else X[None]
     if X.lo.size == 0:
-        return 0.0
-    mag = X.mag()
-    if X.ndim == 1:
-        return float(mag.max())
-    # a sum of k nonnegative terms errs by at most gamma_{k-1} times itself
-    rows = mag.sum(axis=-1)
-    return float(np.where(rows != 0.0, _up_arr(rows * (1.0 + 2.0 * _gamma(X.shape[-1] + 1))), 0.0).max())
+        norms = np.zeros(X.shape[0])
+    elif X.ndim == 2:
+        norms = X.mag().max(axis=-1)
+    else:
+        # a sum of k nonnegative terms errs by at most gamma_{k-1} times itself
+        rows = X.mag().sum(axis=-1)
+        norms = np.where(rows != 0.0, _up_arr(rows * (1.0 + 2.0 * _gamma(X.shape[-1] + 1))), 0.0).max(axis=-1)
+    return norms if stacked else float(norms[0])
 
 
-def contraction_defect(A, M) -> float:
+def contraction_defect(A, M):
     """Upper bound of ||I - A M|| in the induced sup norm for every point
-    matrix in M (A a float matrix, the product by ``matmul``)."""
-    return sup_norm(np.eye(np.shape(A)[0]) - matmul(A, M))
+    matrix in M (A a float matrix, the product by ``matmul``).  For a stack
+    M of shape (B, d, d) (A one matrix or a stack of B) the result is a
+    float array of B bounds."""
+    return sup_norm(np.eye(np.shape(A)[-2]) - matmul(A, M), stacked=np.ndim(M) > 2)
 
 
 class InverseEnclosure:

@@ -76,9 +76,9 @@ E3 = np.array([0.0, 0.0, 1.0])
 
 
 def j3_rows(U):
-    """J3 u = (-u_y, u_x, 0) for every row u of an (n, 3) float or interval
-    array, with an exact zero third component."""
-    return iv.stack([-U[:, 1], U[:, 0], np.zeros(U.shape[0])], -1)
+    """J3 u = (-u_y, u_x, 0) for every row u of an (..., 3) float or
+    interval array, with an exact zero third component."""
+    return iv.stack([-U[..., 1], U[..., 0], np.zeros(U.shape[:-1])], -1)
 
 
 class HamiltonianScale(Enum):
@@ -461,6 +461,27 @@ def pole_offset(p: int) -> float:
 # rotations x ring pairs x poles, for float ndarrays and IntervalArrays
 # alike.  Generator j interacts with the m*n + p - 1 "sources"
 # g^i u_jp (i = 1..m, every jp, except g^m u_j = u_j itself) and the poles.
+#
+# The kernels below also carry a leading batch axis: generators given as a
+# (B, n, 3) stack give a stack of B results, each equal bit for bit to the
+# result of its own call, and a single (n, 3) call runs as the one-element
+# stack.  Applying each operation to the whole stack at once is what makes a
+# stack cheap (Rump, "Fast and parallel interval arithmetic", BIT 39, 1999).
+
+
+def _as_stack(x, item_ndim: int):
+    """(x as a stack, whether x was a single item): a single item of
+    ``item_ndim`` axes becomes the one-element stack."""
+    single = x.ndim == item_ndim
+    return (x[None] if single else x), single
+
+
+def _omega_column(omega):
+    """A per-member omega (a float array or IntervalArray of shape (B,)) as
+    a (B, 1) column; a scalar omega as it is."""
+    if isinstance(omega, (np.ndarray, iv.IntervalArray)) and omega.ndim:
+        return omega.reshape(-1, 1)
+    return omega
 
 
 @lru_cache(maxsize=64)
@@ -525,29 +546,33 @@ def _dist_sq(D):
 
 
 def _source_differences(U, m: int, p: int):
-    """d[j, e] = u_j - (source e of generator j) and |d|^2.
+    """d[b, j, e] = u_j - (source e of generator j) and |d|^2 for every
+    member b of a (B, n, 3) stack of generators.
 
     The sources are g^1 u, ..., g^(m-1) u, u (rotation-major) and the
     poles.  Self-ring differences are formed as (I - g^i) u_j, which keeps
     their e3 component an exact zero."""
-    n = U.shape[0]
+    B, n = U.shape[:2]
     # one product for every (cos, sin, 1 - cos) x (x, y) pair
-    f = _ring_trig(m, isinstance(U, iv.IntervalArray)).reshape(3, m - 1, 1, 1) * U[:, :2].T
-    (cx, cy), (sx, sy), (c1x, c1y) = f.transpose(0, 2, 1, 3)
-    rotated = iv.stack([cx - sy, sx + cy, U[:, 2]], -1)
-    poles = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])[:p]
-    sources = iv.concatenate([rotated.reshape(-1, 3), U, poles])
-    D = U[:, None, :] - sources[_pair_tables(m, n, p)[0]]
+    xy = U[:, :, :2].transpose(0, 2, 1)
+    f = _ring_trig(m, isinstance(U, iv.IntervalArray)).reshape(3, m - 1, 1, 1, 1) * xy
+    (cx, cy), (sx, sy), (c1x, c1y) = f.transpose(0, 3, 2, 1, 4)
+    rotated = iv.stack([cx - sy, sx + cy, U[:, None, :, 2]], -1)
+    poles = np.broadcast_to(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])[:p], (B, p, 3))
+    sources = iv.concatenate([rotated.reshape(B, -1, 3), U, poles], axis=1)
+    D = U[:, :, None, :] - sources[:, _pair_tables(m, n, p)[0]]
     if m > 1:
-        self_d = iv.stack([c1x + sy, c1y - sx, np.zeros((m - 1, n))], -1)
+        self_d = iv.stack([c1x + sy, c1y - sx, np.zeros((B, m - 1, n))], -1)
         j = np.arange(n)[:, None]
-        D[j, np.arange(m - 1) * n + j] = self_d.transpose(1, 0, 2)
+        D[:, j, np.arange(m - 1) * n + j] = self_d.transpose(0, 2, 1, 3)
     return D, _dist_sq(D)
 
 
 def _frame_blocks(L, D, s, s2, joint: bool):
     """Per entry, the frame-L derivative L/s - 2 d (L^T d)^T / s^2 of the
-    d/|d|^2 terms; as (L s - 2 d (L^T d)^T) / s^2 when ``joint``.
+    d/|d|^2 terms; as (L s - 2 d (L^T d)^T) / s^2 when ``joint``.  Any
+    leading axes of D, s and s2 (a batch axis among them) are carried
+    through.
 
     The two interval forms agree in value, not in width.  hess_h uses the
     split form on the diagonal blocks and the joint form off them, which
@@ -561,15 +586,23 @@ def _frame_blocks(L, D, s, s2, joint: bool):
 
 def grad_h(ring_or_u, m=None, p=None):
     """Gradient of h as an (n, 3) array (three-sum formula); an IntervalArray
-    for interval input."""
+    for interval input.  A (B, n, 3) stack of generators gives the (B, n, 3)
+    stack of gradients; a single call is the one-element stack."""
     u, m, p = _ring_args(ring_or_u, m, p)
-    D, s = _source_differences(iv.as_array(u), m, p)
-    return (D / s[..., None]).sum(axis=1) * (-float(m))
+    U, single = _as_stack(iv.as_array(u), 2)
+    out = _grad_h_stack(U, m, p)
+    return out[0] if single else out
+
+
+def _grad_h_stack(U, m: int, p: int):
+    D, s = _source_differences(U, m, p)
+    return (D / s[..., None]).sum(axis=-2) * (-float(m))
 
 
 def hess_h(ring_or_u, m=None, p=None):
     """Hessian of h as a (3n, 3n) array of 3x3 blocks (an IntervalArray for
-    interval input).
+    interval input); a (B, n, 3) stack of generators gives the (B, 3n, 3n)
+    stack, and a single call is the one-element stack.
 
     The self-ring diagonal contribution carries a minus sign on the rank-one
     part, D(Mu/||Mu||^2) = M/||Mu||^2 - 2 Mu (Mu)^T M / ||Mu||^4; this is the
@@ -578,20 +611,25 @@ def hess_h(ring_or_u, m=None, p=None):
     the diagonal and m (g/s - 2d(g^T d)^T/s^2) on the off-diagonal block.
     """
     u, m, p = _ring_args(ring_or_u, m, p)
-    U = iv.as_array(u)
-    n = U.shape[0]
+    U, single = _as_stack(iv.as_array(u), 2)
+    out = _hess_h_stack(U, m, p)
+    return out[0] if single else out
+
+
+def _hess_h_stack(U, m: int, p: int):
+    B, n = U.shape[:2]
     _, diag_frame, others, cross, cross_frame = _pair_tables(m, n, p)
     frames = _rotation_frames(m, isinstance(U, iv.IntervalArray))
     D, s = _source_differences(U, m, p)
     s2 = iv.sqr(s)
-    blocks = iv.zeros((n, n, 3, 3), like=U)
+    blocks = iv.zeros((B, n, n, 3, 3), like=U)
     rows = np.arange(n)
-    blocks[rows, rows] = _frame_blocks(frames[diag_frame], D, s, s2, False).sum(axis=1) * (-float(m))
+    blocks[:, rows, rows] = _frame_blocks(frames[diag_frame], D, s, s2, False).sum(axis=-3) * (-float(m))
     if n > 1:
         j = rows[:, None, None]
-        off = _frame_blocks(frames[cross_frame], D[j, cross], s[j, cross], s2[j, cross], True)
-        blocks[rows[:, None], others] = off.sum(axis=2) * float(m)
-    return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+        off = _frame_blocks(frames[cross_frame], D[:, j, cross], s[:, j, cross], s2[:, j, cross], True)
+        blocks[:, rows[:, None], others] = off.sum(axis=-3) * float(m)
+    return blocks.transpose(0, 1, 3, 2, 4).reshape(B, 3 * n, 3 * n)
 
 
 def reduced_rhs(ring_or_u, m=None, p=None) -> np.ndarray:
@@ -630,18 +668,26 @@ def lagrangian_hstar(u, lam, omega, m, p):
 
 
 def grad_hstar(u, lam, omega, m, p):
-    U, lam = iv.as_array(u), iv.as_array(lam)
-    out = grad_h(U, m, p) + float(m) * (lam[:, None] * U)
-    out[:, 2] = out[:, 2] - omega * float(m)
-    return out
+    """Gradient of h*_omega in u, an (n, 3) array (an IntervalArray for
+    interval input).  u may be a (B, n, 3) stack with lam (B, n) and omega a
+    scalar or one value per member; a single call is the one-element stack."""
+    U, single = _as_stack(iv.as_array(u), 2)
+    lam = iv.as_array(lam).reshape(U.shape[:2])
+    out = _grad_h_stack(U, m, p) + float(m) * (lam[..., None] * U)
+    out[..., 2] = out[..., 2] - _omega_column(omega * float(m))
+    return out[0] if single else out
 
 
 def hess_hstar(u, lam, omega, m, p):
-    U, lam = iv.as_array(u), iv.as_array(lam)
-    H = hess_h(U, m, p)
-    k = np.arange(H.shape[0])
-    H[k, k] = H[k, k] + float(m) * lam[k // 3]
-    return H
+    """Hessian of h*_omega in u, (3n, 3n); a (B, n, 3) stack with lam (B, n)
+    gives the (B, 3n, 3n) stack, and a single call is the one-element
+    stack.  omega does not enter."""
+    U, single = _as_stack(iv.as_array(u), 2)
+    lam = iv.as_array(lam).reshape(U.shape[:2])
+    H = _hess_h_stack(U, m, p)
+    k = np.arange(H.shape[-1])
+    H[:, k, k] = H[:, k, k] + float(m) * lam[:, k // 3]
+    return H[0] if single else H
 
 
 # ---------------------------------------------------------------------------
@@ -651,10 +697,14 @@ def hess_hstar(u, lam, omega, m, p):
 
 @dataclass
 class HessStarResult:
+    """The matrix, multipliers, residual and criticality of one
+    configuration, or of every member of a stack (arrays with a leading
+    batch axis)."""
+
     matrix: np.ndarray | iv.IntervalArray
     multipliers: np.ndarray
-    residual: float
-    critical: bool
+    residual: float | np.ndarray
+    critical: bool | np.ndarray
 
 
 def full_hstar_hessian(v, omega, multipliers=None, tol: float = 1e-7) -> HessStarResult:
@@ -665,25 +715,30 @@ def full_hstar_hessian(v, omega, multipliers=None, tol: float = 1e-7) -> HessSta
     of grad H_omega) but the matrix is still returned.  Vectorised over
     vortex pairs for float arrays and IntervalArrays alike (object-array
     input is converted once); the matrix is an IntervalArray for interval
-    input.
+    input.  A (B, N, 3) stack of configurations, with omega a scalar or one
+    value per member, gives a result whose fields carry a leading batch
+    axis, each member equal bit for bit to its own call; a single
+    configuration is the one-element stack.
     """
-    V = iv.as_array(v.vectors if isinstance(v, FullConfiguration) else v)
-    N = V.shape[0]
+    V, single = _as_stack(iv.as_array(v.vectors if isinstance(v, FullConfiguration) else v), 2)
+    B, N = V.shape[:2]
     others = _pair_tables(1, N, 0)[2]  # for m = 1, row j lists every i != j
-    D = V[:, None, :] - V[others]
+    D = V[:, :, None, :] - V[:, others]
     s = _dist_sq(D)
-    grad = -iv.sum_in_order(D / s[..., None], 1)
-    grad[:, 2] = grad[:, 2] - omega
-    c = (V * grad).sum(axis=-1) if multipliers is None else iv.as_array(multipliers)
-    t = grad - c[:, None] * V
-    resid = float(t.mag().max() if isinstance(t, iv.IntervalArray) else np.abs(t).max())
+    grad = -iv.sum_in_order(D / s[..., None], -2)
+    grad[..., 2] = grad[..., 2] - _omega_column(omega)
+    c = (V * grad).sum(axis=-1) if multipliers is None else iv.as_array(multipliers).reshape(B, N)
+    t = grad - c[..., None] * V
+    resid = (t.mag() if isinstance(t, iv.IntervalArray) else np.abs(t)).max(axis=(-2, -1))
     # block (j, i) is I/s - 2 d d^T / s^2; block (j, j) minus their row sum minus c_j I
     off = _frame_blocks(np.eye(3), D, s, iv.sqr(s), False)
-    H = iv.zeros((N, N, 3, 3), like=V)
+    H = iv.zeros((B, N, N, 3, 3), like=V)
     rows = np.arange(N)
-    H[rows[:, None], others] = off
-    H[rows, rows] = -iv.sum_in_order(off, 1) - c[:, None, None] * np.eye(3)
-    H = H.transpose(0, 2, 1, 3).reshape(3 * N, 3 * N)
+    H[:, rows[:, None], others] = off
+    H[:, rows, rows] = -iv.sum_in_order(off, -3) - c[..., None, None] * np.eye(3)
+    H = H.transpose(0, 1, 3, 2, 4).reshape(B, 3 * N, 3 * N)
+    if single:
+        return HessStarResult(H[0], c[0], float(resid[0]), bool(resid[0] <= tol))
     return HessStarResult(H, c, resid, resid <= tol)
 
 

@@ -471,24 +471,38 @@ def assemble_blocks(basis: SliceBasis, hess) -> list:
     For an interval Hessian the blocks are IntervalArrays and the products
     run through ``iv.matmul`` (the endpoint form when both factors are
     intervals).
+
+    Every block's columns stand side by side in one matrix X (a P block's
+    columns, a Q block's B then C), and one product G = X^T (H X) holds all
+    the projections, read off its diagonal blocks.  For interval columns
+    each entry of G is the same left-to-right sum of the same products as
+    the per-block product, so the blocks equal those bit for bit.
     """
     hess = iv.as_array(hess)
-    out = []
+    parts, starts = [], []
+    start = 0
     for blk in basis.blocks:
-        if blk.size == 0:
+        starts.append(start)
+        for part in ("re", "im") if blk.kind == "Q" else ("re",):
+            if blk.size:
+                parts.append(_stack_columns(blk.columns, part))
+                start += blk.size
+    G = None
+    if parts:
+        X = iv.concatenate(parts, axis=1)
+        G = X.T @ (hess @ X)
+    out = []
+    for blk, s in zip(basis.blocks, starts):
+        k = blk.size
+        if k == 0:
             out.append(BlockMatrix(l=blk.l, kind=blk.kind, re=iv.zeros((0, 0), like=hess), im=None))
-            continue
-        if blk.kind == "P":
-            P = _stack_columns(blk.columns, "re")
-            M = P.T @ (hess @ P)
+        elif blk.kind == "P":
+            M = G[s : s + k, s : s + k]
             out.append(BlockMatrix(l=blk.l, kind="P", re=(M + M.T) * 0.5, im=None))
         else:
-            Bc = _stack_columns(blk.columns, "re")
-            Cc = _stack_columns(blk.columns, "im")
-            HB = hess @ Bc
-            HC = hess @ Cc
-            re = Bc.T @ HB + Cc.T @ HC
-            im = Bc.T @ HC - Cc.T @ HB
+            b, c = slice(s, s + k), slice(s + k, s + 2 * k)
+            re = G[b, b] + G[c, c]
+            im = G[b, c] - G[c, b]
             out.append(BlockMatrix(l=blk.l, kind="Q", re=(re + re.T) * 0.5, im=(im - im.T) * 0.5))
     return out
 
@@ -1136,15 +1150,17 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
     of every block over the whole tube extend the verdict to the segment by
     continuity of eigenvalues.  When a block's invertibility fails with
     contraction defect beta, the failing (sub-)segment is split once into
-    floor(beta) + 1 equal pieces: the interior points are polished, and each
-    piece is validated afresh with ``nk_validate_segment`` (a much tighter
-    tube) when it is taken up, then its tube is checked; a piece that still
-    fails is split by its own defect.  The pieces tile the segment and
+    floor(beta) + 1 equal pieces, with three stacked calls: one
+    ``newton_polish`` for the interior points, one ``nk_validate_segment``
+    for all pieces (a much tighter tube each) and one ``full_hstar_hessian``
+    for the Hessians of their tubes.  The tubes are then checked left to
+    right, and a piece that still fails is split by its own defect before
+    its right neighbours are checked.  The pieces tile the segment and
     neighbours share one polished endpoint, so invertibility on every piece
     tube covers the whole branch and the continuity argument goes through.
     No piece is narrower than 1/64 of the segment: if a split would give
     fewer than two pieces, or a refinement step fails, the verdict is
-    limited to the endpoint.
+    limited to the endpoint, naming the first failure in omega order.
     """
     from .continuation import (
         AugmentedPoint,
@@ -1164,16 +1180,26 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
     if not verdict0.stable:
         return SegmentStabilityResult(point_verdict=verdict0, whole_segment=False, reason="endpoint not certified stable")
 
-    def blocks_invertible(cert):
+    def tube_hessians(certs):
+        """Per certificate (tube, lifted tube vectors, tube Hessian) from one
+        stacked Hessian call, or the DomainError its tube raises."""
+        if not certs:
+            return []
+        tubes = [cert.ring_tube() for cert in certs]
+        vecs = [iv.as_array(lift_rho(tube).vectors) for tube in tubes]
+        try:
+            hess = full_hstar_hessian(iv.stack(vecs), iv.stack([cert.omega_tube() for cert in certs])).matrix
+        except DomainError as exc:
+            if len(certs) == 1:
+                return [exc]
+            return [tube_hessians([cert])[0] for cert in certs]
+        return list(zip(tubes, vecs, hess))
+
+    def blocks_invertible(tube, a, hess):
         """None, or (block l, reason, contraction defect) of the first block
         whose invertibility over the tube is not verified."""
-        tube = cert.ring_tube()
-        omega_tube = cert.omega_tube()
-        a = iv.as_array(lift_rho(tube).vectors)
-        hess = full_hstar_hessian(a, omega_tube).matrix
         basis = build_slice(tube, a, mu_zero=False)
-        blocks = assemble_blocks(basis, hess)
-        for blk in blocks:
+        for blk in assemble_blocks(basis, hess):
             if blk.size == 0:
                 continue
             try:
@@ -1194,20 +1220,18 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
         )
 
     anchor, m, p = certificate.anchor, certificate.m, certificate.p
-    # (left point, right point, 1/width as a fraction of the segment, the
-    # failure of the piece it was split from; None for the segment itself)
-    stack = [(certificate.x0, certificate.x1, 1, None)]
+    # (certificate or the failure of its validation, its tube build,
+    # 1/width as a fraction of the segment, the failure of the piece it was
+    # split from; None for the segment itself)
+    stack = [(certificate, tube_hessians([certificate])[0], 1, None)]
     while stack:
-        a, b, denominator, parent = stack.pop()
-        if parent is None:
-            cert = certificate
-        else:
-            pieces += 1
-            try:
-                cert = nk_validate_segment(a, b, anchor, m, p)
-            except (NoConvergence, NotValidated) as exc:
-                return fail(parent[0], f"{parent[1]} (refinement failed: {exc})")
-        failed = blocks_invertible(cert)
+        cert, tube, denominator, parent = stack.pop()
+        if isinstance(cert, NotValidated):
+            return fail(parent[0], f"{parent[1]} (refinement failed: {cert})")
+        for failure in (cert, tube):
+            if isinstance(failure, Exception):
+                raise failure
+        failed = blocks_invertible(*tube)
         if failed is None:
             continue
         block, text, defect = failed
@@ -1217,17 +1241,20 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
         count = min(wanted, _MAX_PIECES // denominator)
         if count < 2:
             return fail(block, text)
+        a, b = cert.x0, cert.x1
+        t = np.arange(1, count) / count
+        w = a.omega + t * (b.omega - a.omega)
         xa, xb = a.flat(), b.flat()
-        points = [a]
         try:
-            for i in range(1, count):
-                t = i / count
-                w = a.omega + t * (b.omega - a.omega)
-                points.append(AugmentedPoint.from_flat(newton_polish(xa + t * (xb - xa), w, anchor, m, p), w))
+            x = newton_polish(xa + t[:, None] * (xb - xa), w, anchor, m, p)
         except NoConvergence as exc:
             return fail(block, f"{text} (refinement failed: {exc})")
-        points.append(b)
+        points = [a] + [AugmentedPoint.from_flat(xi, wi) for xi, wi in zip(x, w.tolist())] + [b]
+        pieces += count
+        certs = nk_validate_segment(points[:-1], points[1:], anchor, m, p)
+        tubes = iter(tube_hessians([c for c in certs if not isinstance(c, Exception)]))
+        tubes = [None if isinstance(c, Exception) else next(tubes) for c in certs]
         # pushed right to left, so the leftmost piece is taken up first
-        for k in range(count, 0, -1):
-            stack.append((points[k - 1], points[k], denominator * count, (block, text)))
+        for k in range(count - 1, -1, -1):
+            stack.append((certs[k], tubes[k], denominator * count, (block, text)))
     return SegmentStabilityResult(point_verdict=verdict0, whole_segment=True, pieces=pieces)

@@ -163,12 +163,14 @@ class TestContinueAndDiagram:
             ["continue", "--fixture", "bipyramid5", "--label", "2,2,1", "--seed-omega", 0.0,
              "--omega-from", 0.28, "--omega-to", 0.282, "--out", chain, "--workers", 1]
         )
-        calls = []
+        calls = []  # one entry per validated sub-segment
         validate = cont.nk_validate_segment
 
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return validate(*args, **kwargs)
+        def spy(x0, x1, *args, **kwargs):
+            out = validate(x0, x1, *args, **kwargs)
+            # a stacked call validates len(x0) segments and returns a list
+            calls.extend(out if isinstance(out, list) else [out])
+            return out
 
         monkeypatch.setattr(cont, "nk_validate_segment", spy)
         verd = tmp_path / "v.json"

@@ -414,14 +414,15 @@ class TestSegmentStability:
     @staticmethod
     def _spy(monkeypatch):
         """Record every sub-segment validation (its certificate) and every
-        failed invertibility check (its NotVerified) of the calls that follow."""
+        failed invertibility check (its NotVerified) of the calls that follow;
+        a stacked validation call records each of its segments, in order."""
         validated, failures = [], []
         validate, verify = cont.nk_validate_segment, iv.verify_invertible
 
-        def spy_validate(*args, **kwargs):
-            cert = validate(*args, **kwargs)
-            validated.append(cert)
-            return cert
+        def spy_validate(x0, x1, *args, **kwargs):
+            out = validate(x0, x1, *args, **kwargs)
+            validated.extend(out if isinstance(out, list) else [out])
+            return out
 
         def spy_verify(M):
             try:
@@ -447,10 +448,14 @@ class TestSegmentStability:
         def same(a, b):
             return a.omega == b.omega and np.array_equal(a.flat(), b.flat())
 
-        # Pieces are validated depth first, left to right: a piece that was
-        # split again is followed by its first child, which shares its left end.
-        leaves = [c for c, nxt in zip(validated, validated[1:]) if not same(c.x0, nxt.x0)]
-        leaves.append(validated[-1])
+        def inside(c, outer):
+            return outer.x0.omega <= c.x0.omega and c.x1.omega <= outer.x1.omega
+
+        # Each split validates its pieces in one stacked call, left to right;
+        # a piece that was split again holds later pieces, the others (the
+        # leaves) tile the segment.
+        leaves = [c for c in validated if not any(o is not c and inside(o, c) for o in validated)]
+        leaves.sort(key=lambda c: c.x0.omega)
         assert same(leaves[0].x0, cert.x0) and same(leaves[-1].x1, cert.x1)
         for left, right in zip(leaves, leaves[1:]):
             assert same(left.x1, right.x0)
@@ -458,9 +463,6 @@ class TestSegmentStability:
         assert all(a < b for a, b in zip(omegas, omegas[1:]))
 
         # The root's pieces: those not inside an earlier validated piece.
-        def inside(c, outer):
-            return outer.x0.omega <= c.x0.omega and c.x1.omega <= outer.x1.omega
-
         top = [c for k, c in enumerate(validated) if not any(inside(c, o) for o in validated[:k])]
         assert len(top) == math.floor(failures[0].defect) + 1
         assert same(top[0].x0, cert.x0) and same(top[-1].x1, cert.x1)
@@ -602,3 +604,51 @@ def test_array_stability_layer_against_object_reference(case):
             for blk, pblk in zip(blocks, stab.assemble_blocks(pbasis, H)):
                 assert _contains(blk.re, pblk.re)
                 assert pblk.im is None or _contains(blk.im, pblk.im)
+
+
+def _assemble_blocks_per_block(basis, hess):
+    """The per-block assembly that the one-product form replaced: P^T (H P)
+    for a real block, four products for a Hermitian one."""
+    out = []
+    for blk in basis.blocks:
+        if blk.size == 0:
+            out.append((iv.zeros((0, 0), like=hess), None))
+        elif blk.kind == "P":
+            P = stab._stack_columns(blk.columns, "re")
+            M = P.T @ (hess @ P)
+            out.append(((M + M.T) * 0.5, None))
+        else:
+            Bc, Cc = stab._stack_columns(blk.columns, "re"), stab._stack_columns(blk.columns, "im")
+            HB, HC = hess @ Bc, hess @ Cc
+            re, im = Bc.T @ HB + Cc.T @ HC, Bc.T @ HC - Cc.T @ HB
+            out.append(((re + re.T) * 0.5, (im - im.T) * 0.5))
+    return out
+
+
+def _antiprism8_box():
+    ring = cat.fixture("antiprism8")
+    u = np.asarray(ring.generators, dtype=float)
+    gens = IntervalArray(u - 1e-9, u + 1e-9).to_object()
+    return md.RingSystem(ring.m, ring.n, ring.p, gens, check=False), Interval(cat.fixture_entry("antiprism8").omega)
+
+
+@pytest.mark.parametrize("case", ["branch5", "collision10", "antiprism8"])
+def test_assemble_blocks_one_product_matches_per_block(case):
+    """The one-product assembly G = X^T (H X) gives every block bit for bit
+    as the per-block products do, on the branch5 tubes of segments 0, 30
+    and 60, the collision10 box (real blocks only) and an antiprism8 box
+    (Hermitian blocks too)."""
+    boxes = {"branch5": _branch5_tubes, "collision10": lambda: [_collision_box()], "antiprism8": lambda: [_antiprism8_box()]}
+    kinds = set()
+    for ring, omega in boxes[case]():
+        a = iv.as_array(md.lift_rho(ring).vectors)
+        basis = stab.build_slice(ring, a)
+        if basis.permutation is not None:
+            a = a[basis.permutation]
+        hess = md.full_hstar_hessian(a, omega).matrix
+        for blk, (re, im) in zip(stab.assemble_blocks(basis, hess), _assemble_blocks_per_block(basis, hess)):
+            kinds.add(blk.kind)
+            assert blk.re.lo.tobytes() + blk.re.hi.tobytes() == re.lo.tobytes() + re.hi.tobytes()
+            assert (blk.im is None) == (im is None)
+            assert im is None or blk.im.lo.tobytes() + blk.im.hi.tobytes() == im.lo.tobytes() + im.hi.tobytes()
+    assert kinds == ({"P", "Q"} if case == "antiprism8" else {"P"})
