@@ -418,14 +418,7 @@ def _build(name: str, label, interval_mode: bool) -> RingSystem:
     k = entry.label_index(label)
     m, n, p = entry.labels[k]
     gens = entry.builders[k](interval_mode)
-    if interval_mode:
-        arr = np.empty((n, 3), dtype=object)
-        for j, row in enumerate(gens):
-            for c in range(3):
-                arr[j, c] = _I(row[c])
-    else:
-        arr = np.array([[float(x) for x in row] for row in gens])
-    return RingSystem(m, n, p, arr)
+    return RingSystem(m, n, p, iv.IntervalArray.from_object(gens) if interval_mode else np.array(gens, dtype=float))
 
 
 def fixture(name: str, label=None) -> RingSystem:

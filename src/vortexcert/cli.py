@@ -276,10 +276,8 @@ def cmd_diagram(args) -> int:
     rows = [CSV_HEADER]
     for i, c in enumerate(certs):
         tube = c.ring_tube()
-        mu = c.mu_enclosure()
-        from .model import hamiltonian_H, lift_rho
-
-        H = hamiltonian_H(lift_rho(tube).vectors)
+        mu = md.reduced_phi(tube) + md.pole_offset(tube.p)
+        H = md.hamiltonian_H(md.lift_rho(tube))
         lo, hi = c.omega_interval
         status = YELLOW
         if verdicts is not None and i < len(verdicts):

@@ -40,7 +40,6 @@ from .model import (
     j3_rows,
     reduced_phi,
     solve_ring_multipliers,
-    to_interval_array,
 )
 
 __all__ = [
@@ -335,7 +334,7 @@ class PointCertificate:
         omega = Interval(self.point.omega)
         X = self.enclosure()
         A = _approx_inverse(x, self.point.omega, self.anchor, self.m, self.p)
-        newton = A @ augmented_map_F(to_interval_array(x), omega, self.anchor, self.m, self.p)
+        newton = A @ augmented_map_F(IntervalArray(x).to_object(), omega, self.anchor, self.m, self.p)
         E = np.eye(len(x)) - A @ jacobian_F(X, omega, self.anchor, self.m, self.p)
         r0 = self.bounds.r0
         spread = (E * Interval(-r0, r0)).sum(axis=1)
@@ -346,11 +345,7 @@ class PointCertificate:
         return float(np.max(self.refined_enclosure().rad[: 3 * self.n]))
 
     def ring_enclosure(self) -> RingSystem:
-        enc = self.enclosure()
-        gens = np.empty((self.n, 3), dtype=object)
-        for j in range(self.n):
-            for c in range(3):
-                gens[j, c] = enc[3 * j + c]
+        gens = IntervalArray(self.point.u).pad(self.bounds.r0)
         return RingSystem(self.m, self.n, self.p, gens, check=False)
 
     def alpha_enclosure(self) -> Interval:
@@ -381,7 +376,7 @@ class BranchCertificate:
         u0 = np.asarray(self.x0.u, dtype=float)
         u1 = np.asarray(self.x1.u, dtype=float)
         gens = IntervalArray(np.minimum(u0, u1), np.maximum(u0, u1)).pad(self.bounds.r0)
-        return RingSystem(self.m, self.n, self.p, gens.to_object(), check=False)
+        return RingSystem(self.m, self.n, self.p, gens, check=False)
 
     def omega_tube(self) -> Interval:
         lo, hi = self.omega_interval
@@ -529,7 +524,7 @@ def nk_validate_point(
     x = point.flat()
     omega = point.omega
     A = _approx_inverse(x, omega, b0, m, p)
-    Y = iv.sup_norm(A @ augmented_map_F(to_interval_array(x), Interval(omega), b0, m, p))
+    Y = iv.sup_norm(A @ augmented_map_F(IntervalArray(x).to_object(), Interval(omega), b0, m, p))
     [bounds] = _find_radius(A[None], IntervalArray(x)[None], IntervalArray([omega]), b0, m, p, [Y], [0.0], r_star)
     if isinstance(bounds, NotValidated):
         raise bounds
@@ -578,7 +573,7 @@ def _validate_segments(x0s: list, x1s: list, b0, m: int, p: int, r_star: float) 
     W0 = np.array([a.omega for a in x0s], dtype=float)
     W1 = np.array([b.omega for b in x1s], dtype=float)
     A = _approx_inverse(X0, W0, b0, m, p)
-    F0 = augmented_map_F(to_interval_array(X0), IntervalArray(W0), b0, m, p)
+    F0 = augmented_map_F(IntervalArray(X0).to_object(), IntervalArray(W0), b0, m, p)
     Y = iv.sup_norm(iv.matmul(A, F0[..., None])[..., 0], stacked=True)
 
     hull = IntervalArray(np.minimum(X0, X1), np.maximum(X0, X1))

@@ -1,11 +1,13 @@
 """Point-vortex mathematics on the unit sphere, with ring-symmetric reduction.
 
 Everything here is evaluable both over plain floats (numpy float64 arrays)
-and over rigorous intervals (numpy object arrays of Interval, or an
-IntervalArray); the same code path serves both, so the certified pipeline
-and the numeric pipeline cannot drift apart.  The ring-reduced gradient and
-Hessians run vectorised over rotations x ring pairs x poles; they convert
-object-array input to an IntervalArray once at entry and return one.
+and over rigorous intervals (IntervalArray); the same code path serves
+both, so the certified pipeline and the numeric pipeline cannot drift
+apart.  Ring generators and configurations are held as one of the two
+(an object array of Intervals is converted once, at entry), and every
+function runs vectorised over rings, rotations, vortex pairs and poles.
+The scalar Interval remains for single values: a sum such as H or h, and
+the logarithm of each pair distance.
 
 Conventions:
   * Identical vortex strengths use the scaled Hamiltonian
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -60,7 +62,6 @@ __all__ = [
     "integrate_full_rk4",
     "integrate_reduced_rk4",
     "ring_rotations",
-    "to_interval_array",
     "dumps_config",
     "ring_to_json",
     "ring_from_json",
@@ -109,60 +110,66 @@ class VortexParameters:
         return self.strengths is None
 
 
-def _is_interval(arr) -> bool:
-    return isinstance(arr, iv.IntervalArray) or (isinstance(arr, np.ndarray) and arr.dtype == object)
+_POLES = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])  # North, South
 
 
-def to_interval_array(x) -> np.ndarray:
-    """Promote a float array (or mixed data) to an object array of Intervals."""
-    x = np.asarray(x)
-    out = np.empty(x.shape, dtype=object)
-    flat_in = x.reshape(-1)
-    flat_out = out.reshape(-1)
-    for i, v in enumerate(flat_in):
-        flat_out[i] = v if isinstance(v, Interval) else Interval(float(v))
-    return out
+def _dot(u, v):
+    """Row-wise dot product of (..., 3) float or interval arrays, summed left to right."""
+    return (u * v).sum(axis=-1)
 
 
-def _zero(interval_mode: bool):
-    return Interval(0.0) if interval_mode else 0.0
+def _cross(u, v):
+    """Row-wise cross product of (..., 3) float or interval arrays."""
+    i, j = [1, 2, 0], [2, 0, 1]
+    return u[..., i] * v[..., j] - u[..., j] * v[..., i]
 
 
-def _ln(x):
-    if isinstance(x, Interval):
-        return iv.ln(x)
-    if x <= 0.0:
-        raise DomainError("log of nonpositive value")
-    return math.log(x)
+def _too_close(s):
+    """Mask of the squared distances s that are not bounded above COLLISION_TOL**2."""
+    if isinstance(s, iv.IntervalArray):
+        return s.lo <= COLLISION_TOL**2
+    return s < COLLISION_TOL**2
 
 
-def _dot(a, b):
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b):
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ],
-        dtype=a.dtype if a.dtype == object else float,
-    )
-
-
-def _norm_sq(d):
-    return _dot(d, d)
-
-
-def _check_dist_sq(s):
-    """Reject (near-)collisions; the ln singularity dominates doubles there."""
-    if isinstance(s, Interval):
-        if s.lo <= COLLISION_TOL**2:
+def _check_collisions(s):
+    """s, after rejecting (near-)collisions; the ln singularity dominates doubles there."""
+    if np.any(_too_close(s)):
+        if isinstance(s, iv.IntervalArray):
             raise DomainError("interval distance cannot be bounded away from collision")
-    elif s < COLLISION_TOL**2:
         raise DomainError("configuration within collision tolerance")
     return s
+
+
+def _row_dist_sq(D):
+    """|d|^2 = d0*d0 + d1*d1 + d2*d2 of every row d of D, rejecting
+    (near-)collisions: the form of H, h and the domain checks.  The
+    derivative kernels use ``_dist_sq``, whose ``sqr`` is tighter where an
+    interval component straddles zero."""
+    return _check_collisions(_dot(D, D))
+
+
+def _pair_differences(V):
+    """v_j - v_i for every pair i < j of rows of V, in np.tril_indices order."""
+    j, i = np.tril_indices(len(V), -1)
+    return V[j] - V[i]
+
+
+def _ln_sum(s):
+    """Sum of ln over a 1-d float or interval array, added left to right
+    from zero: math.log per float entry, the scalar iv.ln (with its libm
+    slack) per interval entry."""
+    if isinstance(s, iv.IntervalArray):
+        return sum((iv.ln(x) for x in s), Interval(0.0))
+    return sum((math.log(x) for x in s.tolist()), 0.0)
+
+
+def _off_sphere(u, tol: float):
+    """Mask of the rows of u whose squared norm excludes 1 (intervals) or
+    misses it by more than 2 tol (floats)."""
+    s = _dot(u, u)
+    if isinstance(s, iv.IntervalArray):
+        return (s.lo > 1.0) | (s.hi < 1.0)
+    return np.abs(s - 1.0) > 2 * tol
 
 
 def _cos_sin_frac(num: int, den: int, interval_mode: bool):
@@ -183,46 +190,25 @@ def _cos_sin_frac(num: int, den: int, interval_mode: bool):
     return math.cos(theta), math.sin(theta)
 
 
-def _rot_z(c, s, interval_mode: bool):
-    z = _zero(interval_mode)
-    one = Interval(1.0) if interval_mode else 1.0
-    return np.array([[c, -s, z], [s, c, z], [z, z, one]], dtype=object if interval_mode else float)
-
-
-@lru_cache(maxsize=64)
-def _ring_rotations_cached(m: int, interval_mode: bool) -> tuple:
-    return tuple(_rot_z(*_cos_sin_frac(i, m, interval_mode), interval_mode) for i in range(m + 1))
-
-
-def ring_rotations(m: int, interval_mode: bool = False) -> tuple:
-    """Powers g^0..g^m of the ring rotation by 2*pi/m about e3."""
+def ring_rotations(m: int) -> np.ndarray:
+    """Powers g^0..g^m of the ring rotation by 2*pi/m about e3, as an
+    (m+1, 3, 3) float array."""
     if m < 1:
         raise DomainError("ring order m must be >= 1")
-    return _ring_rotations_cached(m, interval_mode)
-
-
-def _poles(p: int, interval_mode: bool) -> list:
-    if p not in (0, 1, 2):
-        raise DomainError("pole count p must be 0, 1 or 2")
-    north = np.array([0.0, 0.0, 1.0])
-    south = np.array([0.0, 0.0, -1.0])
-    out = [north, south][:p] if p != 2 else [north, south]
-    if p == 1:
-        out = [north]
-    if interval_mode:
-        out = [to_interval_array(f) for f in out]
-    return out
+    return _rotation_frames(m, False)[np.r_[0, 1:m, 0]]
 
 
 @dataclass
 class FullConfiguration:
-    """N vortex positions on the unit sphere, collision-free."""
+    """N vortex positions on the unit sphere, collision-free: an (N, 3)
+    float array or IntervalArray (an object array of Intervals is
+    converted)."""
 
-    vectors: np.ndarray
+    vectors: np.ndarray | iv.IntervalArray
     check: bool = True
 
     def __post_init__(self):
-        self.vectors = self.vectors if _is_interval(self.vectors) else np.asarray(self.vectors, dtype=float)
+        self.vectors = iv.as_array(self.vectors)
         if self.vectors.ndim != 2 or self.vectors.shape[1] != 3:
             raise DomainError("configuration must be an (N, 3) array")
         if self.check:
@@ -234,37 +220,32 @@ class FullConfiguration:
 
     def validate(self, tol: float = 1e-9):
         v = self.vectors
-        for j in range(self.N):
-            s = _norm_sq(v[j])
-            if isinstance(s, Interval):
-                if not s.contains(1.0):
-                    raise DomainError(f"vortex {j} enclosure excludes the unit sphere")
-            elif abs(s - 1.0) > 2 * tol:
-                raise DomainError(f"vortex {j} is off the unit sphere")
-        for j in range(self.N):
-            for i in range(j):
-                _check_dist_sq(_norm_sq(v[j] - v[i]))
+        bad = np.flatnonzero(_off_sphere(v, tol))
+        if bad.size and isinstance(v, iv.IntervalArray):
+            raise DomainError(f"vortex {bad[0]} enclosure excludes the unit sphere")
+        if bad.size:
+            raise DomainError(f"vortex {bad[0]} is off the unit sphere")
+        _row_dist_sq(_pair_differences(v))
 
 
 @dataclass
 class RingSystem:
     """Reduced configuration: n rings of regular m-gons plus p poles.
 
-    Generators are one point per ring; N = m*n + p.  For m >= 2 the
-    generators must avoid the poles (a ring generator at a pole is a
-    collision of the lifted configuration).
+    Generators are one point per ring, an (n, 3) float array or
+    IntervalArray (an object array of Intervals is converted); N = m*n + p.
+    For m >= 2 the generators must avoid the poles (a ring generator at a
+    pole is a collision of the lifted configuration).
     """
 
     m: int
     n: int
     p: int
-    generators: np.ndarray
+    generators: np.ndarray | iv.IntervalArray
     check: bool = True
 
     def __post_init__(self):
-        self.generators = (
-            self.generators if _is_interval(self.generators) else np.asarray(self.generators, dtype=float)
-        )
+        self.generators = iv.as_array(self.generators)
         if self.m < 1 or self.n < 1 or self.p not in (0, 1, 2):
             raise DomainError("invalid ring system signature (m, n, p)")
         if self.m == 1 and self.p != 0:
@@ -280,27 +261,22 @@ class RingSystem:
 
     @property
     def interval_mode(self) -> bool:
-        return _is_interval(self.generators)
+        return isinstance(self.generators, iv.IntervalArray)
 
     def validate(self, tol: float = 1e-9):
         u = self.generators
-        for j in range(self.n):
-            s = _norm_sq(u[j])
-            if isinstance(s, Interval):
-                if not s.contains(1.0):
-                    raise DomainError(f"generator {j} enclosure excludes the unit sphere")
-            elif abs(s - 1.0) > 2 * tol:
-                raise DomainError(f"generator {j} is off the unit sphere")
-            if self.m >= 2:
-                xy = u[j][0] * u[j][0] + u[j][1] * u[j][1]
-                if isinstance(xy, Interval):
-                    if xy.lo <= COLLISION_TOL**2:
-                        raise DomainError(f"generator {j} cannot be separated from the poles")
-                elif xy < COLLISION_TOL**2:
-                    raise DomainError(f"generator {j} is at a pole")
-        for j in range(self.n):
-            for i in range(j):
-                _check_dist_sq(_norm_sq(u[j] - u[i]))
+        bad = np.flatnonzero(_off_sphere(u, tol))
+        if bad.size and self.interval_mode:
+            raise DomainError(f"generator {bad[0]} enclosure excludes the unit sphere")
+        if bad.size:
+            raise DomainError(f"generator {bad[0]} is off the unit sphere")
+        if self.m >= 2:
+            at_pole = np.flatnonzero(_too_close(u[:, 0] * u[:, 0] + u[:, 1] * u[:, 1]))
+            if at_pole.size and self.interval_mode:
+                raise DomainError(f"generator {at_pole[0]} cannot be separated from the poles")
+            if at_pole.size:
+                raise DomainError(f"generator {at_pole[0]} is at a pole")
+        _row_dist_sq(_pair_differences(u))
 
     def z(self, j: int):
         return self.generators[j][2]
@@ -315,24 +291,13 @@ class RingSystem:
     def midpoint(self) -> "RingSystem":
         if not self.interval_mode:
             return self
-        gens = np.array([[e.mid for e in row] for row in self.generators], dtype=float)
-        return RingSystem(self.m, self.n, self.p, gens, check=False)
+        return RingSystem(self.m, self.n, self.p, self.generators.mid, check=False)
 
 
 def lift_rho(ring: RingSystem) -> FullConfiguration:
     """Lift ring generators to the ring-major full configuration."""
-    interval_mode = ring.interval_mode
-    g = ring_rotations(ring.m, interval_mode)
-    rows = []
-    for j in range(ring.n):
-        uj = ring.generators[j]
-        for k in range(1, ring.m + 1):
-            rows.append(g[k] @ uj)
-    rows.extend(_poles(ring.p, interval_mode))
-    arr = np.empty((len(rows), 3), dtype=object if interval_mode else float)
-    for i, r in enumerate(rows):
-        arr[i] = r
-    return FullConfiguration(arr, check=False)
+    rows = _ring_orbits(ring.generators, ring.m).reshape(-1, 3)
+    return FullConfiguration(iv.concatenate([rows, _POLES[: ring.p]]), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -341,35 +306,19 @@ def lift_rho(ring: RingSystem) -> FullConfiguration:
 
 
 def _as_vectors(v):
-    if isinstance(v, FullConfiguration):
-        return v.vectors
-    if isinstance(v, np.ndarray) and v.dtype == object:
-        return v
-    return np.asarray(v, dtype=float)
+    return v.vectors if isinstance(v, FullConfiguration) else iv.as_array(v)
 
 
 def hamiltonian_H(v, scale: HamiltonianScale = HamiltonianScale.HALF):
     """H = -s * sum_{i<j} ln ||v_i - v_j||^2 for identical strengths."""
-    vecs = _as_vectors(v)
-    N = vecs.shape[0]
-    interval_mode = _is_interval(vecs)
-    acc = _zero(interval_mode)
-    for j in range(N):
-        for i in range(j):
-            acc = acc + _ln(_check_dist_sq(_norm_sq(vecs[j] - vecs[i])))
-    s = scale.value
-    return acc * (-s)
+    return _ln_sum(_row_dist_sq(_pair_differences(_as_vectors(v)))) * (-scale.value)
 
 
 def momentum_Phi(v, strengths=None):
     """Center of vorticity Phi = sum Gamma_i v_i."""
     vecs = _as_vectors(v)
-    interval_mode = _is_interval(vecs)
-    acc = np.array([_zero(interval_mode)] * 3, dtype=object if interval_mode else float)
-    for j in range(vecs.shape[0]):
-        w = vecs[j] if strengths is None else vecs[j] * strengths[j]
-        acc = acc + w
-    return acc
+    w = vecs if strengths is None else vecs * np.asarray(strengths, dtype=float)[:, None]
+    return iv.sum_in_order(w, 0, iv.zeros(3, like=vecs))
 
 
 def augmented_H(v, omega, scale: HamiltonianScale = HamiltonianScale.HALF):
@@ -385,23 +334,14 @@ def vortex_rhs(v, params: VortexParameters = VortexParameters()):
     Distinct strengths: the raw form with the 1/(4 pi) Gamma_i prefactor.
     """
     vecs = _as_vectors(v)
-    N = vecs.shape[0]
-    interval_mode = _is_interval(vecs)
-    out = np.empty((N, 3), dtype=object if interval_mode else float)
-    identical = params.strengths is None
-    pref = 1.0 if identical else 1.0 / (4.0 * math.pi)
-    for j in range(N):
-        acc = np.array([_zero(interval_mode)] * 3, dtype=object if interval_mode else float)
-        for i in range(N):
-            if i == j:
-                continue
-            d2 = _check_dist_sq(_norm_sq(vecs[i] - vecs[j]))
-            term = _cross(vecs[i], vecs[j])
-            if not identical:
-                term = term * params.strengths[i]
-            acc = acc + term / d2
-        out[j] = acc * pref if not identical else acc
-    return out
+    others = _pair_tables(1, len(vecs), 0)[2]  # row j lists every i != j
+    v_i, v_j = vecs[others], vecs[:, None]
+    d2 = _row_dist_sq(v_i - v_j)
+    terms = _cross(v_i, v_j)
+    if params.strengths is not None:
+        terms = terms * np.asarray(params.strengths)[others][..., None]
+    acc = iv.sum_in_order(terms / d2[..., None], 1, iv.zeros(vecs.shape, like=vecs))
+    return acc if params.strengths is None else acc * (1.0 / (4.0 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -414,42 +354,40 @@ def _ring_args(ring_or_u, m=None, p=None):
         return ring_or_u.generators, ring_or_u.m, ring_or_u.p
     if m is None or p is None:
         raise TypeError("raw generator arrays require explicit m and p")
-    u = ring_or_u
-    u = u if _is_interval(u) else np.asarray(u, dtype=float)
-    return u, m, p
+    if p not in (0, 1, 2):
+        raise DomainError("pole count p must be 0, 1 or 2")
+    return iv.as_array(ring_or_u), m, p
+
+
+def _ring_orbits(U, m: int):
+    """(n, m, 3) orbits g^1 u_j, ..., g^(m-1) u_j, g^m u_j = u_j of the
+    (n, 3) generators U.  Each rotated row is the matrix-vector product
+    g^i u_j: a stacked matmul for floats, the entrywise products added left
+    to right for intervals."""
+    G = _rotation_frames(m, isinstance(U, iv.IntervalArray))[1:m]
+    if isinstance(U, iv.IntervalArray):
+        rotated = iv.sum_in_order(G * U[:, None, None, :], -1)
+    else:
+        rotated = np.matmul(G, U[:, None, :, None])[..., 0]
+    return iv.concatenate([rotated, U[:, None]], axis=1)
 
 
 def reduced_h(ring_or_u, m=None, p=None):
     """Ring Hamiltonian h(u): self-ring, cross-ring and pole interaction sums."""
     u, m, p = _ring_args(ring_or_u, m, p)
-    n = u.shape[0]
-    interval_mode = _is_interval(u)
-    g = ring_rotations(m, interval_mode)
-    poles = _poles(p, interval_mode)
-    acc_self = _zero(interval_mode)
-    for j in range(n):
-        for i in range(1, m):
-            acc_self = acc_self + _ln(_check_dist_sq(_norm_sq(g[i] @ u[j] - u[j])))
-    acc_cross = _zero(interval_mode)
-    for j in range(n):
-        for jp in range(j + 1, n):
-            for i in range(1, m + 1):
-                acc_cross = acc_cross + _ln(_check_dist_sq(_norm_sq(g[i] @ u[j] - u[jp])))
-    acc_pole = _zero(interval_mode)
-    for j in range(n):
-        for f in poles:
-            acc_pole = acc_pole + _ln(_check_dist_sq(_norm_sq(u[j] - f)))
+    orbits = _ring_orbits(u, m)
+    j, jp = np.triu_indices(len(u), 1)
+    self_d = orbits[:, : m - 1] - u[:, None]
+    cross_d = orbits[j] - u[jp][:, None]
+    pole_d = u[:, None] - _POLES[:p]
+    acc_self, acc_cross, acc_pole = (_ln_sum(_row_dist_sq(d.reshape(-1, 3))) for d in (self_d, cross_d, pole_d))
     return acc_self * (-m / 4.0) + (acc_cross + acc_pole) * (-m / 2.0)
 
 
 def reduced_phi(ring_or_u, m=None, p=None):
     """Ring momentum phi(u) = m * (sum u_i) . e3."""
     u, m, _p = _ring_args(ring_or_u, m, p if p is not None else 0)
-    interval_mode = _is_interval(u)
-    acc = _zero(interval_mode)
-    for j in range(u.shape[0]):
-        acc = acc + u[j][2]
-    return acc * float(m)
+    return iv.sum_in_order(u[:, 2], 0, 0.0) * float(m)
 
 
 def pole_offset(p: int) -> float:
@@ -487,8 +425,8 @@ def _omega_column(omega):
 @lru_cache(maxsize=64)
 def _ring_trig(m: int, interval_mode: bool):
     """(3, m-1) rows cos, sin and 1 - cos of 2*pi*i/m for i = 1..m-1."""
-    cs = np.array([_cos_sin_frac(i, m, interval_mode) for i in range(1, m)], dtype=object).reshape(m - 1, 2).T
-    c, s = iv.as_array(cs) if interval_mode else cs.astype(float)
+    cs = [_cos_sin_frac(i, m, interval_mode) for i in range(1, m)]
+    c, s = (iv.IntervalArray.from_object(cs) if interval_mode else np.array(cs, dtype=float)).reshape(m - 1, 2).T
     return iv.stack([c, s, 1.0 - c])
 
 
@@ -536,13 +474,7 @@ def _pair_tables(m: int, n: int, p: int):
 
 def _dist_sq(D):
     """|d|^2 over the last axis, rejecting (near-)collisions."""
-    s = iv.sqr(D).sum(axis=-1)
-    if isinstance(s, iv.IntervalArray):
-        if np.any(s.lo <= COLLISION_TOL**2):
-            raise DomainError("interval distance cannot be bounded away from collision")
-    elif np.any(s < COLLISION_TOL**2):
-        raise DomainError("configuration within collision tolerance")
-    return s
+    return _check_collisions(iv.sqr(D).sum(axis=-1))
 
 
 def _source_differences(U, m: int, p: int):
@@ -589,7 +521,7 @@ def grad_h(ring_or_u, m=None, p=None):
     for interval input.  A (B, n, 3) stack of generators gives the (B, n, 3)
     stack of gradients; a single call is the one-element stack."""
     u, m, p = _ring_args(ring_or_u, m, p)
-    U, single = _as_stack(iv.as_array(u), 2)
+    U, single = _as_stack(u, 2)
     out = _grad_h_stack(U, m, p)
     return out[0] if single else out
 
@@ -611,7 +543,7 @@ def hess_h(ring_or_u, m=None, p=None):
     the diagonal and m (g/s - 2d(g^T d)^T/s^2) on the off-diagonal block.
     """
     u, m, p = _ring_args(ring_or_u, m, p)
-    U, single = _as_stack(iv.as_array(u), 2)
+    U, single = _as_stack(u, 2)
     out = _hess_h_stack(U, m, p)
     return out[0] if single else out
 
@@ -632,39 +564,24 @@ def _hess_h_stack(U, m: int, p: int):
     return blocks.transpose(0, 1, 3, 2, 4).reshape(B, 3 * n, 3 * n)
 
 
-def reduced_rhs(ring_or_u, m=None, p=None) -> np.ndarray:
+def reduced_rhs(ring_or_u, m=None, p=None):
     """udot_j = -(1/m) u_j x grad_j h."""
     u, m, p = _ring_args(ring_or_u, m, p)
-    grad = grad_h(u, m, p)
-    out = np.empty_like(u)
-    for j in range(u.shape[0]):
-        out[j] = _cross(u[j], grad[j]) * (-1.0 / m)
-    return out
+    return _cross(u, grad_h(u, m, p)) * (-1.0 / m)
 
 
-def solve_ring_multipliers(ring_or_u, omega, m=None, p=None) -> np.ndarray:
+def solve_ring_multipliers(ring_or_u, omega, m=None, p=None):
     """Multipliers with grad h_omega + m lambda_j u_j = 0 projected on u_j."""
     u, m, p = _ring_args(ring_or_u, m, p)
-    grad = grad_h(u, m, p)
-    n = u.shape[0]
-    interval_mode = _is_interval(u)
-    out = np.empty(n, dtype=object if interval_mode else float)
-    for j in range(n):
-        gw = _dot(u[j], grad[j]) - omega * float(m) * u[j][2]
-        nrm = _norm_sq(u[j])
-        out[j] = -(gw / nrm) / float(m)
-    return out
+    gw = _dot(u, grad_h(u, m, p)) - omega * float(m) * u[:, 2]
+    return -(gw / _dot(u, u)) / float(m)
 
 
 def lagrangian_hstar(u, lam, omega, m, p):
     """h*_omega(u, lambda) = h_omega(u) + m sum lambda_j R_j(u)."""
-    u = u if _is_interval(u) else np.asarray(u, dtype=float)
-    interval_mode = _is_interval(u)
+    u = iv.as_array(u)
     val = reduced_h(u, m, p) - omega * reduced_phi(u, m, p)
-    acc = _zero(interval_mode)
-    for j in range(u.shape[0]):
-        acc = acc + lam[j] * (_norm_sq(u[j]) - 1.0)
-    return val + acc * (float(m) / 2.0)
+    return val + iv.sum_in_order(iv.as_array(lam) * (_dot(u, u) - 1.0), 0, 0.0) * (float(m) / 2.0)
 
 
 def grad_hstar(u, lam, omega, m, p):
@@ -720,7 +637,7 @@ def full_hstar_hessian(v, omega, multipliers=None, tol: float = 1e-7) -> HessSta
     axis, each member equal bit for bit to its own call; a single
     configuration is the one-element stack.
     """
-    V, single = _as_stack(iv.as_array(v.vectors if isinstance(v, FullConfiguration) else v), 2)
+    V, single = _as_stack(_as_vectors(v), 2)
     B, N = V.shape[:2]
     others = _pair_tables(1, N, 0)[2]  # for m = 1, row j lists every i != j
     D = V[:, :, None, :] - V[:, others]
@@ -818,8 +735,8 @@ def ring_from_json(obj: dict) -> RingSystem:
 
 def full_to_json(cfg: FullConfiguration) -> dict:
     vecs = cfg.vectors
-    if _is_interval(vecs):
-        vecs = np.array([[e.mid for e in row] for row in vecs])
+    if isinstance(vecs, iv.IntervalArray):
+        vecs = vecs.mid
     return {"vortices": [[float(x) for x in row] for row in vecs]}
 
 

@@ -20,7 +20,7 @@ of being quotiented out.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -34,8 +34,9 @@ from .model import (
     lift_rho,
     pole_offset,
     reduced_phi,
-    to_interval_array,
     _cos_sin_frac,
+    _cross,
+    _dot,
 )
 
 __all__ = [
@@ -130,17 +131,6 @@ class SliceBasis:
     @property
     def N(self) -> int:
         return self.m * self.n + self.p if self.m >= 2 else self.n
-
-
-def _cross(u, v):
-    """Row-wise cross product of (..., 3) float or interval arrays."""
-    i, j = [1, 2, 0], [2, 0, 1]
-    return u[..., i] * v[..., j] - u[..., j] * v[..., i]
-
-
-def _dot(u, v):
-    """Row-wise dot product of (..., 3) arrays, summed left to right."""
-    return (u * v).sum(axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -423,16 +413,14 @@ class BlockMatrix:
     """Projected Hessian block; real symmetric (P) or Hermitian (Q).
 
     ``re`` and ``im`` are float arrays or IntervalArrays (object arrays of
-    Intervals are converted).  ``interval_mode`` is accepted and ignored:
-    the entries carry the mode."""
+    Intervals are converted)."""
 
     l: int
     kind: str
     re: np.ndarray | IntervalArray
     im: np.ndarray | IntervalArray | None
-    interval_mode: InitVar[bool] = False
 
-    def __post_init__(self, interval_mode):
+    def __post_init__(self):
         self.re = iv.as_array(self.re)
         self.im = None if self.im is None else iv.as_array(self.im)
 
@@ -1022,9 +1010,7 @@ def stability_test(
     kernel window with everything else positive.
     """
     interval_ring = (
-        ring
-        if ring.interval_mode
-        else RingSystem(ring.m, ring.n, ring.p, to_interval_array(ring.generators), check=False)
+        ring if ring.interval_mode else RingSystem(ring.m, ring.n, ring.p, IntervalArray(ring.generators), check=False)
     )
     omega_iv = omega if isinstance(omega, Interval) else Interval(float(omega))
     if mu_zero is None:
@@ -1038,7 +1024,7 @@ def stability_test(
             reason="momentum enclosure straddles zero at nonzero omega",
         )
 
-    a = iv.as_array(lift_rho(interval_ring).vectors)
+    a = lift_rho(interval_ring).vectors
     basis = build_slice(interval_ring, a, mu_zero=mu_zero)
     if basis.permutation is not None:
         a = a[basis.permutation]
@@ -1186,7 +1172,7 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
         if not certs:
             return []
         tubes = [cert.ring_tube() for cert in certs]
-        vecs = [iv.as_array(lift_rho(tube).vectors) for tube in tubes]
+        vecs = [lift_rho(tube).vectors for tube in tubes]
         try:
             hess = full_hstar_hessian(iv.stack(vecs), iv.stack([cert.omega_tube() for cert in certs])).matrix
         except DomainError as exc:

@@ -287,7 +287,7 @@ def test_criterion_7f_winding_oracle_200():
         if min(np.min(np.abs(lam - e)) for e in edges) < 0.05:
             continue
         expect = int(np.sum((lam > center - eps) & (lam < center + eps)))
-        blk = stab.BlockMatrix(l=0, kind="Q", re=M.real, im=M.imag, interval_mode=False)
+        blk = stab.BlockMatrix(l=0, kind="Q", re=M.real, im=M.imag)
         got = stab.count_eigenvalues_winding(blk, center, eps, mesh=4)
         assert got == expect, (d, center, eps, got, expect)
         count += 1

@@ -10,8 +10,7 @@ import pytest
 from vortexcert import catalog as cat
 from vortexcert import continuation as cont
 from vortexcert import model as md
-from vortexcert.intervals import Interval, verify_invertible
-from vortexcert.model import to_interval_array
+from vortexcert.intervals import Interval, IntervalArray, verify_invertible
 
 SEED = int(os.environ.get("VORTEX_CERT_SEED", "0"))
 RNG = np.random.default_rng(SEED)
@@ -70,7 +69,7 @@ class TestAugmentedMap:
     def test_jacobian_invertible_at_nondegenerate_re(self):
         pt, b0 = pentagon_point(0.1)
         x = cont.newton_polish(pt.flat(), pt.omega, b0, 5, 2)
-        DF = cont.jacobian_F(to_interval_array(x), Interval(pt.omega), b0, 5, 2)
+        DF = cont.jacobian_F(IntervalArray(x).to_object(), Interval(pt.omega), b0, 5, 2)
         verify_invertible(DF)  # raises if not certified
 
     def test_section_row_constant_in_x(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from vortexcert import catalog as cat
+from vortexcert import intervals as iv
 from vortexcert import model as md
 from vortexcert.intervals import DomainError, Interval, IntervalArray
 
@@ -477,3 +478,321 @@ class TestConfigIO:
         full = md.lift_rho(cat.fixture("octahedron"))
         back = md.full_from_json(json.loads(md.dumps_config(md.full_to_json(full))))
         assert np.array_equal(back.vectors, np.asarray(full.vectors, dtype=float))
+
+
+# ---------------------------------------------------------------------------
+# Scalar reference: the per-entry loops over object arrays of Interval (or
+# float arrays) that the vectorised lift, sums and dynamics replaced.
+# ---------------------------------------------------------------------------
+
+
+def _ref_interval(x):
+    return isinstance(x, np.ndarray) and x.dtype == object
+
+
+def _ref_zero(interval):
+    return Interval(0.0) if interval else 0.0
+
+
+def _ref_ln(x):
+    if isinstance(x, Interval):
+        return iv.ln(x)
+    if x <= 0.0:
+        raise DomainError("log of nonpositive value")
+    return math.log(x)
+
+
+def _ref_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _ref_cross(a, b):
+    return np.array(
+        [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]],
+        dtype=a.dtype if a.dtype == object else float,
+    )
+
+
+def _ref_check_dist_sq(s):
+    if isinstance(s, Interval):
+        if s.lo <= md.COLLISION_TOL**2:
+            raise DomainError("interval distance cannot be bounded away from collision")
+    elif s < md.COLLISION_TOL**2:
+        raise DomainError("configuration within collision tolerance")
+    return s
+
+
+def _ref_rotations(m, interval):
+    """g^0..g^m as 3x3 float or object matrices."""
+    z, one = _ref_zero(interval), Interval(1.0) if interval else 1.0
+
+    def rot(c, s):
+        return np.array([[c, -s, z], [s, c, z], [z, z, one]], dtype=object if interval else float)
+
+    return [rot(*md._cos_sin_frac(i, m, interval)) for i in range(m + 1)]
+
+
+def _ref_poles(p, interval):
+    poles = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])][:p]
+    return [np.array([Interval(c) for c in f], dtype=object) for f in poles] if interval else poles
+
+
+def ref_lift_rho(u, m, p):
+    interval = _ref_interval(u)
+    g = _ref_rotations(m, interval)
+    rows = [g[k] @ u[j] for j in range(len(u)) for k in range(1, m + 1)] + _ref_poles(p, interval)
+    out = np.empty((len(rows), 3), dtype=object if interval else float)
+    for i, r in enumerate(rows):
+        out[i] = r
+    return out
+
+
+def ref_hamiltonian_H(v):
+    acc = _ref_zero(_ref_interval(v))
+    for j in range(len(v)):
+        for i in range(j):
+            acc = acc + _ref_ln(_ref_check_dist_sq(_ref_dot(v[j] - v[i], v[j] - v[i])))
+    return acc * (-0.5)
+
+
+def ref_momentum_Phi(v):
+    interval = _ref_interval(v)
+    acc = np.array([_ref_zero(interval)] * 3, dtype=object if interval else float)
+    for j in range(len(v)):
+        acc = acc + v[j]
+    return acc
+
+
+def ref_vortex_rhs(v, strengths=None):
+    interval = _ref_interval(v)
+    N = len(v)
+    out = np.empty((N, 3), dtype=object if interval else float)
+    for j in range(N):
+        acc = np.array([_ref_zero(interval)] * 3, dtype=object if interval else float)
+        for i in range(N):
+            if i == j:
+                continue
+            d2 = _ref_check_dist_sq(_ref_dot(v[i] - v[j], v[i] - v[j]))
+            term = _ref_cross(v[i], v[j])
+            if strengths is not None:
+                term = term * strengths[i]
+            acc = acc + term / d2
+        out[j] = acc if strengths is None else acc * (1.0 / (4.0 * math.pi))
+    return out
+
+
+def ref_reduced_h(u, m, p):
+    interval = _ref_interval(u)
+    n = len(u)
+    g = _ref_rotations(m, interval)
+
+    def ln_d2(d):
+        return _ref_ln(_ref_check_dist_sq(_ref_dot(d, d)))
+
+    acc_self = _ref_zero(interval)
+    for j in range(n):
+        for i in range(1, m):
+            acc_self = acc_self + ln_d2(g[i] @ u[j] - u[j])
+    acc_cross = _ref_zero(interval)
+    for j in range(n):
+        for jp in range(j + 1, n):
+            for i in range(1, m + 1):
+                acc_cross = acc_cross + ln_d2(g[i] @ u[j] - u[jp])
+    acc_pole = _ref_zero(interval)
+    for j in range(n):
+        for f in _ref_poles(p, interval):
+            acc_pole = acc_pole + ln_d2(u[j] - f)
+    return acc_self * (-m / 4.0) + (acc_cross + acc_pole) * (-m / 2.0)
+
+
+def ref_reduced_phi(u, m):
+    acc = _ref_zero(_ref_interval(u))
+    for j in range(len(u)):
+        acc = acc + u[j][2]
+    return acc * float(m)
+
+
+def ref_reduced_rhs(u, m, p):
+    grad = md.grad_h(u, m, p)
+    out = np.empty_like(u)
+    for j in range(len(u)):
+        out[j] = _ref_cross(u[j], grad[j]) * (-1.0 / m)
+    return out
+
+
+def ref_solve_ring_multipliers(u, omega, m, p):
+    grad = md.grad_h(u, m, p)
+    out = np.empty(len(u), dtype=object if _ref_interval(u) else float)
+    for j in range(len(u)):
+        gw = _ref_dot(u[j], grad[j]) - omega * float(m) * u[j][2]
+        out[j] = -(gw / _ref_dot(u[j], u[j])) / float(m)
+    return out
+
+
+def ref_lagrangian_hstar(u, lam, omega, m, p):
+    val = ref_reduced_h(u, m, p) - omega * ref_reduced_phi(u, m)
+    acc = _ref_zero(_ref_interval(u))
+    for j in range(len(u)):
+        acc = acc + lam[j] * (_ref_dot(u[j], u[j]) - 1.0)
+    return val + acc * (float(m) / 2.0)
+
+
+def _endpoints(x):
+    """(lo, hi) float arrays of a float, Interval, IntervalArray or object-array value."""
+    if isinstance(x, (Interval, IntervalArray)):
+        return np.asarray(x.lo, dtype=float), np.asarray(x.hi, dtype=float)
+    if _ref_interval(x):
+        x = IntervalArray.from_object(x)
+        return x.lo, x.hi
+    x = np.asarray(x, dtype=float)
+    return x, x
+
+
+def _same_bits(new, ref):
+    """Float results equal bit for bit, signed zeros included; interval
+    results are interval values with equal endpoints (a zero product is
+    +0 in the scalar Interval and may be -0 in an IntervalArray)."""
+    interval = isinstance(ref, Interval) or _ref_interval(ref)
+    if interval != isinstance(new, (Interval, IntervalArray)):
+        return False
+    (nlo, nhi), (rlo, rhi) = _endpoints(new), _endpoints(ref)
+    if interval:
+        return np.array_equal(nlo, rlo) and np.array_equal(nhi, rhi)
+    return nlo.shape == rlo.shape and nlo.tobytes() == rlo.tobytes()
+
+
+def _catalog_rings():
+    """Every catalog fixture and label as a float ring, its interval
+    enclosure, and its generators padded by 1e-9 and 1e-5."""
+    for name in cat.list_fixtures():
+        for label in cat.fixture_entry(name).labels:
+            ring = cat.fixture(name, label)
+            yield f"{name}{label}", ring
+            yield f"{name}{label} interval", cat.fixture_interval(name, label)
+            for r in (1e-9, 1e-5):
+                box = IntervalArray(ring.generators).pad(r)
+                yield f"{name}{label} +-{r}", md.RingSystem(ring.m, ring.n, ring.p, box, check=False)
+
+
+def _reference_input(x):
+    return x.to_object() if isinstance(x, IntervalArray) else x
+
+
+class TestScalarReference:
+    """The vectorised functions against the scalar loops they replaced."""
+
+    def test_lift_and_full_space_functions(self):
+        for case, ring in _catalog_rings():
+            u = _reference_input(ring.generators)
+            v = md.lift_rho(ring).vectors
+            assert _same_bits(v, ref_lift_rho(u, ring.m, ring.p)), case
+            ref_v = _reference_input(v)
+            assert _same_bits(md.hamiltonian_H(v), ref_hamiltonian_H(ref_v)), case
+            assert _same_bits(md.momentum_Phi(v), ref_momentum_Phi(ref_v)), case
+            if not ring.interval_mode:
+                assert _same_bits(md.vortex_rhs(v), ref_vortex_rhs(ref_v)), case
+                strengths = np.linspace(1.0, 2.0, len(v))
+                params = md.VortexParameters(tuple(strengths))
+                assert _same_bits(md.vortex_rhs(v, params), ref_vortex_rhs(ref_v, strengths)), case
+
+    def test_reduced_functions(self):
+        for case, ring in _catalog_rings():
+            u, m, p = _reference_input(ring.generators), ring.m, ring.p
+            assert _same_bits(md.reduced_h(ring), ref_reduced_h(u, m, p)), case
+            assert _same_bits(md.reduced_phi(ring), ref_reduced_phi(u, m)), case
+            assert _same_bits(md.reduced_rhs(ring), ref_reduced_rhs(u, m, p)), case
+            lam = np.linspace(-0.5, 0.5, ring.n)
+            assert _same_bits(md.lagrangian_hstar(ring.generators, lam, 0.3, m, p), ref_lagrangian_hstar(u, lam, 0.3, m, p)), case
+            if not ring.interval_mode:
+                assert _same_bits(md.solve_ring_multipliers(ring, 0.3), ref_solve_ring_multipliers(u, 0.3, m, p)), case
+
+    def test_interval_quotients_enclose_the_reference(self):
+        """vortex_rhs and solve_ring_multipliers divide: the array quotient
+        rounds every endpoint outward, where the scalar Interval keeps a
+        quotient it proves exact, so the array results contain the
+        reference and are wider by at most a few ulps of the quotients
+        (taken as 4 N ulps of 1 + |value|; the catalog's quotients are of
+        order one)."""
+        for case, ring in _catalog_rings():
+            if not ring.interval_mode:
+                continue
+            u, m, p = _reference_input(ring.generators), ring.m, ring.p
+            v = md.lift_rho(ring).vectors
+            pairs = [
+                (md.vortex_rhs(v), ref_vortex_rhs(v.to_object())),
+                (md.solve_ring_multipliers(ring, 0.3), ref_solve_ring_multipliers(u, 0.3, m, p)),
+            ]
+            for new, ref in pairs:
+                (nlo, nhi), (rlo, rhi) = _endpoints(new), _endpoints(ref)
+                assert np.all(nlo <= rlo) and np.all(rhi <= nhi), case
+                slack = 4 * len(v) * np.finfo(float).eps * (1.0 + np.maximum(np.abs(rlo), np.abs(rhi)))
+                assert np.all(rlo - nlo <= slack) and np.all(nhi - rhi <= slack), case
+
+    def test_planted_rotation_order_fault_is_caught(self, monkeypatch):
+        """lift_rho rows taken in the wrong rotation order fail the check."""
+        rings = [cat.fixture("bipyramid5", (2, 2, 1)), cat.fixture_interval("bipyramid5", (2, 2, 1))]
+        refs = [ref_lift_rho(_reference_input(ring.generators), ring.m, ring.p) for ring in rings]
+        assert all(_same_bits(md.lift_rho(ring).vectors, ref) for ring, ref in zip(rings, refs))
+        orbits = md._ring_orbits
+        monkeypatch.setattr(md, "_ring_orbits", lambda U, m: orbits(U, m)[:, ::-1])
+        assert not any(_same_bits(md.lift_rho(ring).vectors, ref) for ring, ref in zip(rings, refs))
+
+
+class TestDomainChecks:
+    """Collisions, off-sphere and pole generators raise in both modes."""
+
+    @staticmethod
+    def _modes(u):
+        return [np.asarray(u, dtype=float), IntervalArray(u).pad(1e-12)]
+
+    def test_collisions(self):
+        u = np.array([[0.6, 0.0, 0.8], [0.6, 0.0, 0.8 + 1e-12]])
+        for gens in self._modes(u):
+            with pytest.raises(DomainError):
+                md.FullConfiguration(gens)
+            with pytest.raises(DomainError):
+                md.hamiltonian_H(gens)
+            with pytest.raises(DomainError):
+                md.vortex_rhs(gens)
+            with pytest.raises(DomainError):
+                md.RingSystem(3, 2, 0, gens)
+            with pytest.raises(DomainError):
+                md.reduced_h(gens, 3, 0)
+
+    def test_hidden_ring_collision(self):
+        """A generator whose rotation lands on another generator."""
+        c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
+        u = np.array([[0.6, 0.0, 0.8], [0.6 * c, 0.6 * s, 0.8]])
+        for gens in self._modes(u):
+            with pytest.raises(DomainError):
+                md.reduced_h(gens, 3, 0)
+            with pytest.raises(DomainError):
+                md.hamiltonian_H(md.lift_rho(md.RingSystem(3, 2, 0, gens, check=False)))
+
+    def test_off_sphere(self):
+        for gens in self._modes(np.array([[0.6, 0.0, 0.8], [0.0, 1.1, 0.0]])):
+            with pytest.raises(DomainError, match="generator 1"):
+                md.RingSystem(2, 2, 0, gens)
+            with pytest.raises(DomainError, match="vortex 1"):
+                md.FullConfiguration(gens)
+
+    def test_pole_generator(self):
+        for gens in self._modes(np.array([[0.6, 0.0, 0.8], [0.0, 0.0, -1.0]])):
+            with pytest.raises(DomainError, match="generator 1"):
+                md.RingSystem(2, 2, 0, gens)
+            with pytest.raises(DomainError):
+                md.reduced_h(gens, 2, 2)
+
+
+def test_model_and_stability_hold_no_object_arrays():
+    """Rings, configurations and the stability layer are float arrays or
+    IntervalArrays: no object array of Intervals is built in model.py or
+    stability.py."""
+    from pathlib import Path
+
+    from vortexcert import stability
+
+    for module in (md, stability):
+        text = Path(module.__file__).read_text()
+        for needle in ("dtype=object", ".to_object("):
+            assert needle not in text, f"{needle} in {module.__name__}"

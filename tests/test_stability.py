@@ -194,8 +194,8 @@ class TestEigenValidation:
     def _block(self, M):
         M = np.asarray(M)
         if np.iscomplexobj(M):
-            return stab.BlockMatrix(l=0, kind="Q", re=M.real, im=M.imag, interval_mode=False)
-        return stab.BlockMatrix(l=0, kind="P", re=M, im=None, interval_mode=False)
+            return stab.BlockMatrix(l=0, kind="Q", re=M.real, im=M.imag)
+        return stab.BlockMatrix(l=0, kind="P", re=M, im=None)
 
     def test_diag_simple(self):
         blk = self._block(np.diag([1.0, 2.0, 3.0]))
@@ -223,8 +223,8 @@ class TestWinding:
     def _block(self, M):
         M = np.asarray(M)
         if np.iscomplexobj(M):
-            return stab.BlockMatrix(l=0, kind="Q", re=M.real, im=M.imag, interval_mode=False)
-        return stab.BlockMatrix(l=0, kind="P", re=M, im=None, interval_mode=False)
+            return stab.BlockMatrix(l=0, kind="Q", re=M.real, im=M.imag)
+        return stab.BlockMatrix(l=0, kind="P", re=M, im=None)
 
     def test_near_double(self):
         blk = self._block(np.diag([1.0, 1.000001]))
@@ -312,11 +312,11 @@ def test_char_poly_matches_scalar_reference(d):
     M = (A + A.conj().T) / 2
     rad = np.abs(M.real) * rng.uniform(0, 1e-10, (d, d))
     thin = stab.BlockMatrix(
-        l=1, kind="Q", interval_mode=True,
+        l=1, kind="Q",
         re=IntervalArray(M.real - rad, M.real + rad).to_object(),
         im=IntervalArray(M.imag - rad, M.imag + rad).to_object(),
     )
-    point = stab.BlockMatrix(l=0, kind="P", re=M.real, im=None, interval_mode=False)
+    point = stab.BlockMatrix(l=0, kind="P", re=M.real, im=None)
     for blk in (thin, point):
         re, im = stab._block_intervals(blk)
         cmat = np.array([[ComplexInterval(re[i, j], im[i, j]) for j in range(d)] for i in range(d)])
@@ -510,7 +510,7 @@ def _full_hstar_hessian_reference(vecs, omega):
     c = np.empty(N, dtype=object)
     for j in range(N):
         c[j] = vecs[j][0] * grad[j][0] + vecs[j][1] * grad[j][1] + vecs[j][2] * grad[j][2]
-    eye = md.to_interval_array(np.eye(3))
+    eye = IntervalArray(np.eye(3)).to_object()
     H = np.empty((3 * N, 3 * N), dtype=object)
     H[:, :] = Interval(0.0)
     for j in range(N):

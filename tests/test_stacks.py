@@ -93,7 +93,7 @@ def _check_kernels(m, n, p, interval, rng):
     b0 = random_ring(m, n, p, rng).generators
     xs = [np.concatenate([np.asarray(u.mid if interval else u).reshape(-1), l, [0.01 * (b + 1)]]) for b, (u, l) in enumerate(zip(us, lams))]
     if interval:
-        xs = [md.to_interval_array(IntervalArray(x - 1e-9, x + 1e-9).to_object()) for x in xs]
+        xs = [IntervalArray(x - 1e-9, x + 1e-9).to_object() for x in xs]
     X = np.stack(xs)
     _assert_stack_matches(
         cont.augmented_map_F(X, iv_omega, b0, m, p), [cont.augmented_map_F(x, omega_of(b), b0, m, p) for b, x in enumerate(xs)]
