@@ -241,7 +241,7 @@ def cmd_stability(args) -> int:
     t0 = time.time()
     certs, stall = _load_chain(args.chain)
     verdicts = []
-    pieces = []
+    pieces, tube_checks = [], 0
     for c in certs:
         if c.x0.omega == c.x1.omega and np.allclose(c.x0.flat(), c.x1.flat()):
             pc = cont.nk_validate_point(c.x0, c.anchor, c.m, c.p)
@@ -252,12 +252,14 @@ def cmd_stability(args) -> int:
             sv = stab.stability_over_segment(c)
             verdicts.append(sv.to_json())
             pieces.append(sv.pieces)
+            tube_checks += sv.tube_checks
     text = json.dumps(verdicts, indent=1) + "\n"
     if args.out:
         _write_text(args.out, text)
         stages = {
             "segments": len(verdicts),
             "subsegment_validations": sum(pieces),
+            "tube_checks": tube_checks,
             "max_segment_pieces": max(pieces, default=0),
         }
         _write_manifest(args.out, "stability", vars(args), [args.chain], [args.out], t0, stages)

@@ -747,6 +747,9 @@ class IntervalArray:
     def T(self) -> "IntervalArray":
         return self.transpose()
 
+    def swapaxes(self, axis1: int, axis2: int) -> "IntervalArray":
+        return IntervalArray._mk(self.lo.swapaxes(axis1, axis2), self.hi.swapaxes(axis1, axis2))
+
     # -- queries --------------------------------------------------------------
 
     @property
@@ -865,13 +868,16 @@ class IntervalArray:
         return matmul(other, self)
 
     def __matmul__(self, other):
-        """X @ B; for a float matrix or vector B as (B^T X^T)^T."""
+        """X @ B; for a float matrix or vector B as (B^T X^T)^T, transposing
+        the last two axes of stacks."""
         other = as_array(other)
         if isinstance(other, IntervalArray):
             return matmul(self, other)
+        xt = self.swapaxes(-1, -2) if self.ndim > 1 else self
         if other.ndim == 1:
-            return matmul(other, self.T)
-        return matmul(other.T, self.T).T
+            return matmul(other, xt)
+        out = matmul(other.swapaxes(-1, -2), xt)
+        return out.swapaxes(-1, -2) if out.ndim > 1 else out
 
 
 _DEFER_TO = (ComplexInterval, np.ndarray, IntervalArray)
@@ -965,8 +971,10 @@ def matmul(A, X) -> IntervalArray:
     about _SLAB products each.  Every product and addition is rounded
     outward, so each entry contains the exact range of the dot product.
     This is the entrywise interval product; a midpoint-radius form can be
-    up to 1.5 times wider on wide operands (Rump 1999).  It takes vectors
-    and matrices only.
+    up to 1.5 times wider on wide operands (Rump 1999).  It takes vectors,
+    matrices and stacks (..., m, n) x (..., n, p) of matrices; the slab size
+    does not change the left-to-right sums, so every matrix of a stack gets
+    the bits it gets alone.
 
     A float matrix (or vector) A takes the midpoint-radius product (S. M.
     Rump, "Fast and parallel interval arithmetic", BIT 39, 1999) with two
@@ -993,7 +1001,7 @@ def matmul(A, X) -> IntervalArray:
     """
     A, X = as_array(A), as_array(X)
     if isinstance(A, IntervalArray):
-        _check_inner(A, X, 2)
+        _check_inner(A, X, 3)
         return _endpoint_matmul(A, X if isinstance(X, IntervalArray) else IntervalArray(X))
     _check_inner(A, X, np.inf)
     X = X if isinstance(X, IntervalArray) else IntervalArray(X)
@@ -1020,13 +1028,14 @@ def _endpoint_matmul(A: IntervalArray, X: IntervalArray) -> IntervalArray:
     vec_a, vec_x = A.ndim == 1, X.ndim == 1
     A = A.reshape(1, -1) if vec_a else A
     X = X.reshape(-1, 1) if vec_x else X
-    (m, n), p = A.shape, X.shape[1]
-    step = max(1, _SLAB // max(1, m * p))
-    out = zeros((m, p), like=A)
+    (m, n), p = A.shape[-2:], X.shape[-1]
+    batch = np.broadcast_shapes(A.shape[:-2], X.shape[:-2])
+    step = max(1, _SLAB // max(1, math.prod(batch) * m * p))
+    out = zeros(batch + (m, p), like=A)
     for k in range(0, n, step):
-        out = sum_in_order(A[:, k : k + step, None] * X[None, k : k + step], 1, out)
-    out = out[:, 0] if vec_x else out
-    return out[0] if vec_a else out
+        out = sum_in_order(A[..., k : k + step, None] * X[..., None, k : k + step, :], -2, out)
+    out = out[..., 0, :] if vec_a else out
+    return out[..., 0] if vec_x else out
 
 
 def sup_norm(X: IntervalArray, stacked: bool = False):
@@ -1066,37 +1075,59 @@ class InverseEnclosure:
         self.defect = defect
 
 
-def verify_invertible(M) -> InverseEnclosure:
+def verify_invertible(M):
     """Certify that every point matrix in M (an IntervalArray; an object
     array of Intervals or a float matrix is converted) is invertible.
 
     Uses a floating approximate inverse R of the midpoint matrix and the
     contraction bound ||I - R M|| < 1 in the induced sup norm.  On success
-    returns an entrywise enclosure (an IntervalArray) of the set of
-    inverses.  Raises
-    NotVerified when the bound cannot be established (which is *not* a
-    proof of singularity); its ``defect`` is ||I - R M|| when that is
+    returns an ``InverseEnclosure``: an entrywise enclosure (an
+    IntervalArray) of the set of inverses and the bound.  When the bound
+    cannot be established (which is *not* a proof of singularity) a
+    ``NotVerified`` is raised; its ``defect`` is ||I - R M|| when that is
     finite and infinity when R is not.
+
+    A (B, k, k) stack returns a list with, per member, its InverseEnclosure
+    or its NotVerified (not raised), each equal to the member's own call; a
+    single (k, k) matrix is the one-element stack.
     """
     X = as_array(M)
     X = X if isinstance(X, IntervalArray) else IntervalArray(X)
-    if X.ndim != 2 or X.shape[0] != X.shape[1]:
-        raise ShapeError("verify_invertible requires a square matrix")
-    if X.shape[0] == 0:
-        return InverseEnclosure(X, 0.0)
+    if X.ndim not in (2, 3) or X.shape[-1] != X.shape[-2]:
+        raise ShapeError("verify_invertible requires a square matrix or a stack of them")
+    if X.ndim == 3:
+        return _verify_stack(X)
+    (out,) = _verify_stack(X[None])
+    if isinstance(out, NotVerified):
+        raise out
+    return out
+
+
+def _verify_stack(X: IntervalArray) -> list:
+    """``verify_invertible`` of each member of a (B, k, k) stack."""
+    if X.shape[-1] == 0:
+        return [InverseEnclosure(x, 0.0) for x in X]
     try:
         R = np.linalg.inv(X.mid)
     except np.linalg.LinAlgError as exc:
-        raise NotVerified(f"approximate inversion failed: {exc}") from None
-    if not np.all(np.isfinite(R)):
-        raise NotVerified("approximate inverse is not finite")
-    beta = contraction_defect(R, X)
-    if not beta < 1.0:
-        raise NotVerified(f"contraction defect {beta} >= 1", beta if beta >= 1.0 else _INF)
-    # ||inv(M) - R||_sup <= ||R||_sup * beta / (1 - beta), applied entrywise.
-    norm_r = sup_norm(IntervalArray(R))
-    slack = (Interval(norm_r) * beta) / (Interval(1.0) - Interval(beta))
-    return InverseEnclosure(IntervalArray(R) + IntervalArray(-slack.hi, slack.hi), beta)
+        if len(X) > 1:  # one singular midpoint fails the stack: one call each
+            return [_verify_stack(x[None])[0] for x in X]
+        return [NotVerified(f"approximate inversion failed: {exc}")]
+    finite = np.isfinite(R).all(axis=(-2, -1))
+    beta = np.full(len(X), _INF)
+    if finite.any():
+        beta[finite] = contraction_defect(R[finite], X[finite])
+    out = []
+    for b, defect in enumerate(beta.tolist()):
+        if not finite[b]:
+            out.append(NotVerified("approximate inverse is not finite"))
+        elif not defect < 1.0:
+            out.append(NotVerified(f"contraction defect {defect} >= 1", defect if defect >= 1.0 else _INF))
+        else:
+            # ||inv(M) - R||_sup <= ||R||_sup * beta / (1 - beta), applied entrywise.
+            slack = (Interval(sup_norm(IntervalArray(R[b]))) * defect) / (Interval(1.0) - Interval(defect))
+            out.append(InverseEnclosure(IntervalArray(R[b]) + IntervalArray(-slack.hi, slack.hi), defect))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -294,10 +294,18 @@ class RingSystem:
         return RingSystem(self.m, self.n, self.p, self.generators.mid, check=False)
 
 
-def lift_rho(ring: RingSystem) -> FullConfiguration:
-    """Lift ring generators to the ring-major full configuration."""
-    rows = _ring_orbits(ring.generators, ring.m).reshape(-1, 3)
-    return FullConfiguration(iv.concatenate([rows, _POLES[: ring.p]]), check=False)
+def lift_rho(ring):
+    """Lift ring generators to the ring-major full configuration.
+
+    A list of B rings of one signature gives the (B, N, 3) stack of their
+    lifted vectors (a float array or IntervalArray), member b equal to the
+    call on ring b alone bit for bit."""
+    if isinstance(ring, RingSystem):
+        rows = _ring_orbits(ring.generators, ring.m).reshape(-1, 3)
+        return FullConfiguration(iv.concatenate([rows, _POLES[: ring.p]]), check=False)
+    U, m, p = iv.stack([r.generators for r in ring]), ring[0].m, ring[0].p
+    rows = _ring_orbits(U, m).reshape(len(U), -1, 3)
+    return iv.concatenate([rows, np.broadcast_to(_POLES[:p], (len(U), p, 3))], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +368,16 @@ def _ring_args(ring_or_u, m=None, p=None):
 
 
 def _ring_orbits(U, m: int):
-    """(n, m, 3) orbits g^1 u_j, ..., g^(m-1) u_j, g^m u_j = u_j of the
-    (n, 3) generators U.  Each rotated row is the matrix-vector product
+    """(..., n, m, 3) orbits g^1 u_j, ..., g^(m-1) u_j, g^m u_j = u_j of the
+    (..., n, 3) generators U.  Each rotated row is the matrix-vector product
     g^i u_j: a stacked matmul for floats, the entrywise products added left
     to right for intervals."""
     G = _rotation_frames(m, isinstance(U, iv.IntervalArray))[1:m]
     if isinstance(U, iv.IntervalArray):
-        rotated = iv.sum_in_order(G * U[:, None, None, :], -1)
+        rotated = iv.sum_in_order(G * U[..., :, None, None, :], -1)
     else:
-        rotated = np.matmul(G, U[:, None, :, None])[..., 0]
-    return iv.concatenate([rotated, U[:, None]], axis=1)
+        rotated = np.matmul(G, U[..., :, None, :, None])[..., 0]
+    return iv.concatenate([rotated, U[..., :, None, :]], axis=-2)
 
 
 def reduced_h(ring_or_u, m=None, p=None):

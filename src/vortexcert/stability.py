@@ -142,27 +142,29 @@ def _mode_trig(m: int, interval_mode: bool):
 
 
 def _fourier_table(a_vecs, m: int, n: int, N: int):
-    """All Fourier vectors Bhat/Chat_{j,l}, l = 0..m//2, as 3N vectors in one
-    (2, m//2 + 1, 2, n, 3N) array indexed [frame (b, c), l, part (re, im), j].
+    """All Fourier vectors Bhat/Chat_{j,l}, l = 0..m//2, of a (B, N, 3) stack
+    of lifted configurations as 3N vectors in one (2, m//2 + 1, 2, B, n, 3N)
+    array indexed [frame (b, c), l, part (re, im), member, j].
 
     The frames are b = J3 a and c = b x a at the ring slots, slot j*m + (k-1)
     holding g^k u_j; Bhat_{j,l} = sum_k e^{i l k zeta} b_{j,k} lives on the
     slots of ring j."""
-    a = a_vecs[: m * n]
+    B = a_vecs.shape[0]
+    a = a_vecs[:, : m * n]
     b = j3_rows(a)
-    frames = iv.stack([b, _cross(b, a)]).reshape(2, 1, 1, n, m, 3)
+    frames = iv.stack([b, _cross(b, a)]).reshape(2, 1, 1, B, n, m, 3)
     q = (np.arange(m // 2 + 1)[:, None] * np.arange(1, m + 1)) % m
     w = _mode_trig(m, isinstance(a, IntervalArray))[:, q].transpose(1, 0, 2)
-    table = iv.zeros((2, m // 2 + 1, 2, n, N, 3), like=a)
+    table = iv.zeros((2, m // 2 + 1, 2, B, n, N, 3), like=a)
     slots = np.arange(n)[:, None] * m + np.arange(m)
-    table[:, :, :, np.arange(n)[:, None], slots] = w[None, :, :, None, :, None] * frames
-    return table.reshape(2, m // 2 + 1, 2, n, 3 * N)
+    table[:, :, :, :, np.arange(n)[:, None], slots] = w[None, :, :, None, None, :, None] * frames
+    return table.reshape(2, m // 2 + 1, 2, B, n, 3 * N)
 
 
 def fourier_vectors(ring: RingSystem, a_vecs, j: int, l: int):
     """(Bhat_{j,l}, Chat_{j,l}) for tests and diagnostics (0-based j)."""
-    table = _fourier_table(iv.as_array(a_vecs), ring.m, ring.n, ring.N)
-    return Column(*table[0, l, :, j]), Column(*table[1, l, :, j])
+    table = _fourier_table(iv.as_array(a_vecs)[None], ring.m, ring.n, ring.N)
+    return Column(*table[0, l, :, 0, j]), Column(*table[1, l, :, 0, j])
 
 
 def _pole_delta(N: int, m: int, n: int, s: int, axis: int, like) -> np.ndarray:
@@ -202,47 +204,68 @@ def _mid(x):
 
 def _combine(columns: list) -> list:
     """Real columns sum_k c_k v_k, each given as a list of the same number
-    of (coefficient, vector) terms: one product over all terms, then each
-    column's terms added pairwise (left to right for up to three terms)."""
+    of (coefficient, vector) terms, with coefficients (B, 1) and vectors
+    (B, 3N) or (3N,): one product over all terms, then each column's terms
+    added pairwise (left to right for up to three terms)."""
     if not columns:
         return []
     k, t = len(columns), len(columns[0])
-    coefs = iv.stack([c for col in columns for c, _ in col]).reshape(k, t, 1)
-    vecs = iv.stack([v for col in columns for _, v in col]).reshape(k, t, -1)
-    return [Column(re=col) for col in (vecs * coefs).sum(axis=1)]
+    coefs = iv.stack([c for col in columns for c, _ in col])
+    vecs = iv.stack([v for col in columns for _, v in col])
+    prod = vecs * coefs
+    return [Column(re=col) for col in prod.reshape((k, t) + prod.shape[1:]).sum(axis=1)]
 
 
 def _normalize_columns(blocks: list) -> None:
-    """Scale every column to unit midpoint 2-norm (a diagonal congruence;
-    signatures and kernels of the projected blocks are unchanged)."""
+    """Scale every column of every member to unit midpoint 2-norm (a
+    diagonal congruence; signatures and kernels of the projected blocks are
+    unchanged)."""
     for blk in blocks:
         if not blk.columns:
             continue
         re = iv.stack([col.re for col in blk.columns])
         im = None if blk.columns[0].im is None else iv.stack([col.im for col in blk.columns])
-        norms = np.sqrt(sum((_mid(part) ** 2).sum(axis=1) for part in (re, im) if part is not None))
+        norms = np.sqrt(sum((_mid(part) ** 2).sum(axis=-1) for part in (re, im) if part is not None))
         if not np.all(norms > 1e-12):
             raise SliceConstructionError("slice basis column is numerically zero")
-        inv = (1.0 / norms)[:, None]
+        inv = (1.0 / norms)[..., None]
         re, im = re * inv, None if im is None else im * inv
         blk.columns = [Column(re=re[i], im=None if im is None else im[i]) for i in range(len(re))]
 
 
-def _ring_order(ring: RingSystem) -> list:
-    """Ring relabelling for the slice construction: the distinguished ring
-    must avoid the poles, and for m = 2 also the equator, or the mode-1
-    basis columns degenerate."""
-    scores = []
-    for j in range(ring.n):
-        g = ring.generators[j]
-        eta2 = float(_mid(g[0])) ** 2 + float(_mid(g[1])) ** 2
-        zj = abs(float(_mid(g[2])))
-        scores.append(eta2 * (zj if ring.m == 2 else 1.0 + zj))
-    return sorted(range(ring.n), key=lambda j: -scores[j])
+def _ring_order(m: int, gens) -> np.ndarray:
+    """Ring relabelling for the slice construction, one row per member of a
+    (B, n, 3) stack of generators: the distinguished ring must avoid the
+    poles, and for m = 2 also the equator, or the mode-1 basis columns
+    degenerate.  Rings of equal score keep their order."""
+    g = _mid(gens)
+    zj = np.abs(g[..., 2])
+    scores = (g[..., 0] ** 2 + g[..., 1] ** 2) * (zj if m == 2 else 1.0 + zj)
+    return np.argsort(-scores, axis=-1, kind="stable")
+
+
+def _slice_order(hess, permutation):
+    """The Hessian's rows and columns taken in the vortex order of an m = 1
+    slice, for one matrix and its permutation or per member of a stack."""
+    perm = np.asarray(permutation)
+    idx = (3 * perm[..., None] + np.arange(3)).reshape(perm.shape[:-1] + (-1,))
+    if idx.ndim == 1:
+        return hess[idx[:, None], idx]
+    return hess[np.arange(len(idx))[:, None, None], idx[:, :, None], idx[:, None, :]]
+
+
+def _member(basis: SliceBasis, b: int) -> SliceBasis:
+    """Member b of a stacked slice basis."""
+    blocks = [
+        SliceBlockBasis(blk.l, blk.kind, [Column(c.re[b], None if c.im is None else c.im[b]) for c in blk.columns])
+        for blk in basis.blocks
+    ]
+    perm = None if basis.permutation is None else basis.permutation[b]
+    return SliceBasis(basis.case, basis.m, basis.n, basis.p, blocks, perm)
 
 
 def build_slice(
-    ring: RingSystem,
+    ring: RingSystem | list,
     a_vecs: np.ndarray | None = None,
     mu_zero: bool = False,
     normalize: bool = True,
@@ -263,76 +286,98 @@ def build_slice(
     stay well conditioned; pass normalize=False to reproduce the raw
     reference formulas.  Columns are 3N float vectors, or IntervalArrays
     for interval input (a_vecs an IntervalArray or object array).
+
+    A list of B rings of one signature is a stack: a_vecs, if given, is
+    then a (B, N, 3) stack of lifted vectors, every column has a leading
+    batch axis (B, 3N), each member takes its own ring order (and for m = 1
+    its own vortex pair; ``permutation`` is then one list per member), and
+    member b equals the call on ring b alone bit for bit.  A single ring is
+    the one-element stack.
     """
-    a_vecs = iv.as_array(lift_rho(ring).vectors if a_vecs is None else a_vecs)
-    m, n, p = ring.m, ring.n, ring.p
-    N = ring.N
+    single = isinstance(ring, RingSystem)
+    rings = [ring] if single else list(ring)
+    if a_vecs is None:
+        a_vecs = lift_rho(rings)
+    else:
+        a_vecs = iv.as_array(a_vecs)[None] if single else iv.as_array(a_vecs)
+    gens = iv.stack([r.generators for r in rings])
+    m, n, p = rings[0].m, rings[0].n, rings[0].p
     if m == 1:
-        basis = _build_asymmetric_slice(ring, a_vecs, mu_zero)
-        if normalize:
-            _normalize_columns(basis.blocks)
-        return basis
+        basis = _build_asymmetric_slice(a_vecs, mu_zero)
+    else:
+        basis = _build_symmetric_slice(gens, a_vecs, m, n, p, mu_zero)
+    if normalize:
+        _normalize_columns(basis.blocks)
+    return _member(basis, 0) if single else basis
 
+
+def _build_symmetric_slice(gens, a_vecs, m: int, n: int, p: int, mu_zero: bool) -> SliceBasis:
+    """Slice basis for ring order m >= 2 on (B, n, 3) generators and their
+    (B, N, 3) lifted vectors; see ``build_slice``."""
+    N = m * n + p
     table = _fourier_table(a_vecs, m, n, N)
+    members = np.arange(len(a_vecs))
 
+    # Bhat_{j,l}, Chat_{j,l} of every member, j one ring or one per member
     def B(j, l):
-        return Column(*table[0, l, :, j])
+        return Column(*table[0, l][:, members, j])
 
     def C(j, l):
-        return Column(*table[1, l, :, j])
+        return Column(*table[1, l][:, members, j])
 
-    gens = ring.generators
-    x = [gens[j][0] for j in range(n)]
-    y = [gens[j][1] for j in range(n)]
-    z = [gens[j][2] for j in range(n)]
+    def at(values, j):
+        """The (B, n) values of ring j of every member, as a (B, 1) column."""
+        return values[members, j][:, None]
+
+    x, y, z = gens[..., 0], gens[..., 1], gens[..., 2]
     # eta_j = x_j - i y_j
-    eta_re = x
-    eta_im = [-y[j] for j in range(n)]
-    eta_sq = [x[j] * x[j] + y[j] * y[j] for j in range(n)]
-    R = _ring_order(ring)
-    r1 = R[0]
+    eta_re, eta_im = x, -y
+    eta_sq = x * x + y * y
+    R = _ring_order(m, gens)
+    r1 = R[:, 0]
     blocks = []
 
     # mode 0: real block of dimension 2n - 2
     cols0 = []
     for t in range(1, n):
-        cols0.append(_real_col(B(R[t], 0)))
+        cols0.append(_real_col(B(R[:, t], 0)))
     for t in range(1, n):
-        j = R[t]
-        cols0.append(Column(re=eta_sq[r1] * C(j, 0).re - eta_sq[j] * C(r1, 0).re))
+        j = R[:, t]
+        cols0.append(Column(re=at(eta_sq, r1) * C(j, 0).re - at(eta_sq, j) * C(r1, 0).re))
     blocks.append(SliceBlockBasis(l=0, kind="P", columns=cols0))
 
     if m == 2:
         # mode 1: real block of dimension 2n + 2p - 2, three terms per column
         B11, C11 = B(r1, 1).re, C(r1, 1).re  # real vectors for m = 2
-        z1, others = z[r1], R[1:]
-        w1, w2 = z1 * eta_sq[r1], 2.0 * z1 * eta_sq[r1]
+        z1, others = at(z, r1), [R[:, t] for t in range(1, n)]
+        w1, w2 = z1 * at(eta_sq, r1), 2.0 * z1 * at(eta_sq, r1)
         # Re(eta_1 conj(eta_j)), Im(eta_1 conj(eta_j))
-        re1 = [eta_re[r1] * eta_re[j] + eta_im[r1] * eta_im[j] for j in others]
-        im1 = [eta_im[r1] * eta_re[j] - eta_re[r1] * eta_im[j] for j in others]
+        re1 = [at(eta_re, r1) * at(eta_re, j) + at(eta_im, r1) * at(eta_im, j) for j in others]
+        im1 = [at(eta_im, r1) * at(eta_re, j) - at(eta_re, r1) * at(eta_im, j) for j in others]
         terms = [[(z1 * a, B11), (-w1, B(j, 1).re), (-b, C11)] for j, a, b in zip(others, re1, im1)]
-        terms += [[(z1 * z[j] * b, B11), (-w1, C(j, 1).re), (z[j] * a, C11)] for j, a, b in zip(others, re1, im1)]
+        terms += [[(z1 * at(z, j) * b, B11), (-w1, C(j, 1).re), (at(z, j) * a, C11)] for j, a, b in zip(others, re1, im1)]
         poles = range(1, p + 1)
-        terms += [[(z1 * eta_im[r1], B11), (eta_re[r1], C11), (-w2, _pole_delta(N, m, n, s, 0, a_vecs))] for s in poles]
-        terms += [[(z1 * eta_re[r1], B11), (-eta_im[r1], C11), (-w2, _pole_delta(N, m, n, s, 1, a_vecs))] for s in poles]
+        terms += [[(z1 * at(eta_im, r1), B11), (at(eta_re, r1), C11), (-w2, _pole_delta(N, m, n, s, 0, a_vecs))] for s in poles]
+        terms += [[(z1 * at(eta_re, r1), B11), (-at(eta_im, r1), C11), (-w2, _pole_delta(N, m, n, s, 1, a_vecs))] for s in poles]
         cols1 = _combine(terms)
         blocks.append(SliceBlockBasis(l=1, kind="P", columns=cols1))
     else:
         # mode 1: Hermitian block of dimension 2n + p - 1
         cols1 = []
         B11, C11 = B(r1, 1), C(r1, 1)
-        cols1.append(Column(re=z[r1] * B11.re - C11.im, im=z[r1] * B11.im + C11.re))
+        z1 = at(z, r1)
+        cols1.append(Column(re=z1 * B11.re - C11.im, im=z1 * B11.im + C11.re))
         for t in range(1, n):
-            j = R[t]
-            t1 = _cplx_scale(eta_re[j], eta_im[j], B11)
-            t2 = _cplx_scale(eta_re[r1], eta_im[r1], B(j, 1))
+            j = R[:, t]
+            t1 = _cplx_scale(at(eta_re, j), at(eta_im, j), B11)
+            t2 = _cplx_scale(at(eta_re, r1), at(eta_im, r1), B(j, 1))
             cols1.append(Column(re=t1.re - t2.re, im=t1.im - t2.im))
         for t in range(1, n):
-            j = R[t]
-            t1 = _cplx_scale(z[j] * eta_re[j], z[j] * eta_im[j], B11)
+            j = R[:, t]
+            t1 = _cplx_scale(at(z, j) * at(eta_re, j), at(z, j) * at(eta_im, j), B11)
             Cj1 = C(j, 1)
             iCj1 = Column(re=-Cj1.im, im=Cj1.re)
-            t2 = _cplx_scale(eta_re[r1], eta_im[r1], iCj1)
+            t2 = _cplx_scale(at(eta_re, r1), at(eta_im, r1), iCj1)
             cols1.append(Column(re=t1.re + t2.re, im=t1.im + t2.im))
         for s in range(1, p + 1):
             dxy = Column(
@@ -340,7 +385,7 @@ def build_slice(
                 im=_pole_delta(N, m, n, s, 1, a_vecs),
             )
             # 2 Bhat_{1,1} + i m eta_1 (dx + i dy); i m eta_1 = m (y_1 + i x_1)
-            t2 = _cplx_scale(-float(m) * eta_im[r1], float(m) * eta_re[r1], dxy)
+            t2 = _cplx_scale(-float(m) * at(eta_im, r1), float(m) * at(eta_re, r1), dxy)
             cols1.append(Column(re=2.0 * B11.re + t2.re, im=2.0 * B11.im + t2.im))
         blocks.append(SliceBlockBasis(l=1, kind="Q", columns=cols1))
 
@@ -356,51 +401,52 @@ def build_slice(
         blocks.append(SliceBlockBasis(l=half, kind="P", columns=cols))
 
     case = "symmetric-mu0" if mu_zero else "symmetric-mu"
-    if normalize:
-        _normalize_columns(blocks)
     return SliceBasis(case=case, m=m, n=n, p=p, blocks=blocks)
 
 
-def _build_asymmetric_slice(ring: RingSystem, a_vecs, mu_zero: bool) -> SliceBasis:
-    """Slice basis for configurations without ring symmetry."""
-    N = ring.n
+def _build_asymmetric_slice(a_vecs, mu_zero: bool) -> SliceBasis:
+    """Slice basis for configurations without ring symmetry, for a (B, N, 3)
+    stack of configurations (one vortex pair and order per member)."""
+    nb, N = a_vecs.shape[:2]
     if N < 4:
         raise SliceConstructionError("asymmetric slice needs at least 4 vortices")
 
     # choose the leading pair with a certainly nonzero a1 . J3 a2 and the
     # largest |mid|, the first such pair in (i1, i2) order
-    val = _dot(a_vecs[:, None, :], j3_rows(a_vecs)[None, :, :])
+    val = _dot(a_vecs[:, :, None, :], j3_rows(a_vecs)[:, None, :, :])
     lo, hi = (val.lo, val.hi) if isinstance(val, IntervalArray) else (val, val)
-    polar = np.abs(_mid(a_vecs)[:, 2]) > 1 - 1e-6
-    ok = ((lo > 0) | (hi < 0)) & ~polar[:, None] & ~polar[None, :] & ~np.eye(N, dtype=bool)
-    score = np.where(ok, np.abs(_mid(val)), 0.0)
-    i1, i2 = np.unravel_index(int(np.argmax(score)), score.shape)
-    if not score[i1, i2] > 0.0:
+    polar = np.abs(_mid(a_vecs)[..., 2]) > 1 - 1e-6
+    ok = ((lo > 0) | (hi < 0)) & ~polar[:, :, None] & ~polar[:, None, :] & ~np.eye(N, dtype=bool)
+    score = np.where(ok, np.abs(_mid(val)), 0.0).reshape(nb, N * N)
+    best = np.argmax(score, axis=1)
+    if not np.all(score[np.arange(nb), best] > 0.0):
         raise SliceConstructionError("no vortex pair with certainly nonzero a1 . J3 a2")
-    order = [int(i1), int(i2)] + [i for i in range(N) if i not in (i1, i2)]
+    i1, i2 = np.divmod(best, N)
+    idx = np.arange(N)
+    rest = np.broadcast_to(idx, (nb, N))[(idx != i1[:, None]) & (idx != i2[:, None])].reshape(nb, N - 2)
+    order = np.concatenate([i1[:, None], i2[:, None], rest], axis=1)
 
-    a = a_vecs[order]
+    a = a_vecs[np.arange(nb)[:, None], order]
     b = j3_rows(a)
-    b[np.abs(_mid(a)[:, 2]) > 1.0 - 1e-9] = np.array([1.0, 0.0, 0.0])
+    b[np.abs(_mid(a)[..., 2]) > 1.0 - 1e-9] = np.array([1.0, 0.0, 0.0])
     c = _cross(a, b)
 
     # column 0 is (g0, -g0, 0, ...); the u^(j) columns carry b at vortices
     # 4..N (1-based), the v^(j) columns c at vortices 3..N
     slots = np.concatenate([np.arange(3, N), np.arange(2, N)])
-    W = iv.concatenate([b[3:], c[2:]])
-    g0 = _cross(a[0], _cross(b[1], c[1]))
+    W = iv.concatenate([b[:, 3:], c[:, 2:]], axis=1)
+    a0, b1 = a[:, None, 0], b[:, None, 1]
+    g0 = _cross(a[:, 0], _cross(b[:, 1], c[:, 1]))
     k = np.arange(1, len(slots) + 1)
-    cols = iv.zeros((len(slots) + 1, N, 3), like=a)
-    cols[0, 0], cols[0, 1] = g0, -g0
-    cols[k, 0] = _cross(a[0], _cross(b[1], W))
-    cols[k, 1] = -_dot(a[0], W)[:, None] * b[1]
-    cols[k, slots] = _dot(a[0], b[1]) * W
-    cols = cols.reshape(len(slots) + 1, 3 * N)
+    cols = iv.zeros((nb, len(slots) + 1, N, 3), like=a)
+    cols[:, 0, 0], cols[:, 0, 1] = g0, -g0
+    cols[:, k, 0] = _cross(a0, _cross(b1, W))
+    cols[:, k, 1] = -_dot(a0, W)[..., None] * b1
+    cols[:, k, slots] = _dot(a0, b1)[..., None] * W
+    cols = cols.reshape(nb, len(slots) + 1, 3 * N)
     case = "asymmetric-mu0" if mu_zero else "asymmetric"
-    blocks = [SliceBlockBasis(l=0, kind="P", columns=[Column(re=cols[i]) for i in range(len(cols))])]
-    basis = SliceBasis(case=case, m=1, n=N, p=0, blocks=blocks)
-    basis.permutation = order
-    return basis
+    blocks = [SliceBlockBasis(l=0, kind="P", columns=[Column(re=cols[:, i]) for i in range(cols.shape[1])])]
+    return SliceBasis(case=case, m=1, n=N, p=0, blocks=blocks, permutation=order.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +459,7 @@ class BlockMatrix:
     """Projected Hessian block; real symmetric (P) or Hermitian (Q).
 
     ``re`` and ``im`` are float arrays or IntervalArrays (object arrays of
-    Intervals are converted)."""
+    Intervals are converted), one (k, k) matrix or a (B, k, k) stack."""
 
     l: int
     kind: str
@@ -426,7 +472,7 @@ class BlockMatrix:
 
     @property
     def size(self) -> int:
-        return self.re.shape[0]
+        return self.re.shape[-1]
 
     def mid(self) -> np.ndarray:
         if self.im is None:
@@ -438,16 +484,17 @@ class BlockMatrix:
         if self.im is None:
             return self.re
         return iv.concatenate(
-            [iv.concatenate([self.re, -self.im], axis=1), iv.concatenate([self.im, self.re], axis=1)]
+            [iv.concatenate([self.re, -self.im], axis=-1), iv.concatenate([self.im, self.re], axis=-1)], axis=-2
         )
 
 
 def _stack_columns(cols, part: str):
     """The real (part "re") or imaginary parts of the columns as one (3N, k)
-    array; a missing imaginary part is zero."""
-    zero = iv.zeros(len(cols[0].re), like=cols[0].re)
+    array, or (B, 3N, k) for stacked columns; a missing imaginary part is
+    zero."""
+    zero = iv.zeros(cols[0].re.shape, like=cols[0].re)
     vecs = [col.re if part == "re" else col.im for col in cols]
-    return iv.stack([zero if v is None else v for v in vecs], axis=1)
+    return iv.stack([zero if v is None else v for v in vecs], axis=-1)
 
 
 def assemble_blocks(basis: SliceBasis, hess) -> list:
@@ -465,6 +512,10 @@ def assemble_blocks(basis: SliceBasis, hess) -> list:
     the projections, read off its diagonal blocks.  For interval columns
     each entry of G is the same left-to-right sum of the same products as
     the per-block product, so the blocks equal those bit for bit.
+
+    A stacked basis (see ``build_slice``) with a (B, 3N, 3N) stack of
+    Hessians gives blocks of (B, k, k) stacks, member b equal to the call
+    on member b alone bit for bit.
     """
     hess = iv.as_array(hess)
     parts, starts = [], []
@@ -477,21 +528,22 @@ def assemble_blocks(basis: SliceBasis, hess) -> list:
                 start += blk.size
     G = None
     if parts:
-        X = iv.concatenate(parts, axis=1)
-        G = X.T @ (hess @ X)
+        X = iv.concatenate(parts, axis=-1)
+        G = X.swapaxes(-1, -2) @ (hess @ X)
     out = []
     for blk, s in zip(basis.blocks, starts):
         k = blk.size
         if k == 0:
-            out.append(BlockMatrix(l=blk.l, kind=blk.kind, re=iv.zeros((0, 0), like=hess), im=None))
+            out.append(BlockMatrix(l=blk.l, kind=blk.kind, re=iv.zeros(hess.shape[:-2] + (0, 0), like=hess), im=None))
         elif blk.kind == "P":
-            M = G[s : s + k, s : s + k]
-            out.append(BlockMatrix(l=blk.l, kind="P", re=(M + M.T) * 0.5, im=None))
+            M = G[..., s : s + k, s : s + k]
+            out.append(BlockMatrix(l=blk.l, kind="P", re=(M + M.swapaxes(-1, -2)) * 0.5, im=None))
         else:
             b, c = slice(s, s + k), slice(s + k, s + 2 * k)
-            re = G[b, b] + G[c, c]
-            im = G[b, c] - G[c, b]
-            out.append(BlockMatrix(l=blk.l, kind="Q", re=(re + re.T) * 0.5, im=(im - im.T) * 0.5))
+            re = G[..., b, b] + G[..., c, c]
+            im = G[..., b, c] - G[..., c, b]
+            re, im = (re + re.swapaxes(-1, -2)) * 0.5, (im - im.swapaxes(-1, -2)) * 0.5
+            out.append(BlockMatrix(l=blk.l, kind="Q", re=re, im=im))
     return out
 
 
@@ -1107,8 +1159,10 @@ class SegmentStabilityResult:
     whole_segment: bool
     failed_block: int | None = None
     reason: str = ""
-    # sub-segments validated by the subdivision (not part of the verdict)
+    # sub-segments validated by the subdivision and stacked tube checks
+    # made (not part of the verdict)
     pieces: int = 0
+    tube_checks: int = 0
 
     @property
     def verdict(self) -> str:
@@ -1136,17 +1190,19 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
     of every block over the whole tube extend the verdict to the segment by
     continuity of eigenvalues.  When a block's invertibility fails with
     contraction defect beta, the failing (sub-)segment is split once into
-    floor(beta) + 1 equal pieces, with three stacked calls: one
-    ``newton_polish`` for the interior points, one ``nk_validate_segment``
-    for all pieces (a much tighter tube each) and one ``full_hstar_hessian``
-    for the Hessians of their tubes.  The tubes are then checked left to
-    right, and a piece that still fails is split by its own defect before
-    its right neighbours are checked.  The pieces tile the segment and
-    neighbours share one polished endpoint, so invertibility on every piece
-    tube covers the whole branch and the continuity argument goes through.
-    No piece is narrower than 1/64 of the segment: if a split would give
-    fewer than two pieces, or a refinement step fails, the verdict is
-    limited to the endpoint, naming the first failure in omega order.
+    floor(beta) + 1 equal pieces, with stacked calls: one ``newton_polish``
+    for the interior points, one ``nk_validate_segment`` for all pieces (a
+    much tighter tube each), one ``full_hstar_hessian`` for the Hessians of
+    their tubes, and one tube check for all of them: one ``build_slice``,
+    one ``assemble_blocks`` and one ``verify_invertible`` per block.  The
+    checked pieces are then walked left to right, and a piece that failed
+    is split by its own defect before its right neighbours are taken up.
+    The pieces tile the segment and neighbours share one polished endpoint,
+    so invertibility on every piece tube covers the whole branch and the
+    continuity argument goes through.  No piece is narrower than 1/64 of
+    the segment: if a split would give fewer than two pieces, or a
+    refinement step fails, the verdict is limited to the endpoint, naming
+    the first failure in omega order.
     """
     from .continuation import (
         AugmentedPoint,
@@ -1166,35 +1222,46 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
     if not verdict0.stable:
         return SegmentStabilityResult(point_verdict=verdict0, whole_segment=False, reason="endpoint not certified stable")
 
-    def tube_hessians(certs):
-        """Per certificate (tube, lifted tube vectors, tube Hessian) from one
-        stacked Hessian call, or the DomainError its tube raises."""
-        if not certs:
-            return []
+    def check_tubes(certs):
+        """Per certificate None, or (block l, reason, contraction defect) of
+        the first block whose invertibility over its tube is not verified,
+        or the SliceConstructionError or DomainError its check raised; from
+        one stacked check: one ``lift_rho``, ``full_hstar_hessian``,
+        ``build_slice`` and ``assemble_blocks``, one ``verify_invertible``
+        per block.  A stack that raises is checked again one tube at a time."""
         tubes = [cert.ring_tube() for cert in certs]
-        vecs = [lift_rho(tube).vectors for tube in tubes]
         try:
-            hess = full_hstar_hessian(iv.stack(vecs), iv.stack([cert.omega_tube() for cert in certs])).matrix
-        except DomainError as exc:
+            vecs = lift_rho(tubes)
+            hess = full_hstar_hessian(vecs, iv.stack([cert.omega_tube() for cert in certs])).matrix
+            basis = build_slice(tubes, vecs, mu_zero=False)
+            if basis.permutation is not None:
+                hess = _slice_order(hess, basis.permutation)
+            blocks = assemble_blocks(basis, hess)
+        except (SliceConstructionError, DomainError) as exc:
             if len(certs) == 1:
                 return [exc]
-            return [tube_hessians([cert])[0] for cert in certs]
-        return list(zip(tubes, vecs, hess))
-
-    def blocks_invertible(tube, a, hess):
-        """None, or (block l, reason, contraction defect) of the first block
-        whose invertibility over the tube is not verified."""
-        basis = build_slice(tube, a, mu_zero=False)
-        for blk in assemble_blocks(basis, hess):
+            return [check_tubes([cert])[0] for cert in certs]
+        out = [None] * len(certs)
+        for blk in blocks:
             if blk.size == 0:
                 continue
-            try:
-                iv.verify_invertible(blk.realified())
-            except NotVerified as exc:
-                return blk.l, str(exc), exc.defect
-        return None
+            for k, res in enumerate(iv.verify_invertible(blk.realified())):
+                if out[k] is None and isinstance(res, NotVerified):
+                    out[k] = (blk.l, str(res), res.defect)
+        return out
 
-    pieces = 0
+    pieces = tube_checks = 0
+
+    def checked(certs):
+        """Per certificate (or failure of its validation) the outcome of its
+        tube check, from one stacked check of the validated ones; None for a
+        failed validation."""
+        nonlocal tube_checks
+        good = [c for c in certs if not isinstance(c, NotValidated)]
+        if good:
+            tube_checks += 1
+        outcomes = iter(check_tubes(good) if good else [])
+        return [None if isinstance(c, NotValidated) else next(outcomes) for c in certs]
 
     def fail(reason_block, reason_text):
         return SegmentStabilityResult(
@@ -1203,24 +1270,23 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
             failed_block=reason_block,
             reason=f"block l={reason_block} invertibility over the tube not verified: {reason_text}",
             pieces=pieces,
+            tube_checks=tube_checks,
         )
 
     anchor, m, p = certificate.anchor, certificate.m, certificate.p
-    # (certificate or the failure of its validation, its tube build,
-    # 1/width as a fraction of the segment, the failure of the piece it was
-    # split from; None for the segment itself)
-    stack = [(certificate, tube_hessians([certificate])[0], 1, None)]
+    # (certificate or the failure of its validation, the outcome of its
+    # tube check, 1/width as a fraction of the segment, the failure of the
+    # piece it was split from; None for the segment itself)
+    stack = [(certificate, checked([certificate])[0], 1, None)]
     while stack:
-        cert, tube, denominator, parent = stack.pop()
+        cert, outcome, denominator, parent = stack.pop()
         if isinstance(cert, NotValidated):
             return fail(parent[0], f"{parent[1]} (refinement failed: {cert})")
-        for failure in (cert, tube):
-            if isinstance(failure, Exception):
-                raise failure
-        failed = blocks_invertible(*tube)
-        if failed is None:
+        if isinstance(outcome, Exception):
+            raise outcome
+        if outcome is None:
             continue
-        block, text, defect = failed
+        block, text, defect = outcome
         # The defect falls about linearly with the width, so floor(defect) + 1
         # is the smallest count expected to pass (2 if none was measured).
         wanted = math.floor(defect) + 1 if math.isfinite(defect) else 2
@@ -1238,9 +1304,8 @@ def stability_over_segment(certificate, point_certificate=None) -> SegmentStabil
         points = [a] + [AugmentedPoint.from_flat(xi, wi) for xi, wi in zip(x, w.tolist())] + [b]
         pieces += count
         certs = nk_validate_segment(points[:-1], points[1:], anchor, m, p)
-        tubes = iter(tube_hessians([c for c in certs if not isinstance(c, Exception)]))
-        tubes = [None if isinstance(c, Exception) else next(tubes) for c in certs]
+        outcomes = checked(certs)
         # pushed right to left, so the leftmost piece is taken up first
         for k in range(count - 1, -1, -1):
-            stack.append((certs[k], tubes[k], denominator * count, (block, text)))
-    return SegmentStabilityResult(point_verdict=verdict0, whole_segment=True, pieces=pieces)
+            stack.append((certs[k], outcomes[k], denominator * count, (block, text)))
+    return SegmentStabilityResult(point_verdict=verdict0, whole_segment=True, pieces=pieces, tube_checks=tube_checks)

@@ -164,12 +164,14 @@ class TestContinueAndDiagram:
              "--omega-from", 0.28, "--omega-to", 0.282, "--out", chain, "--workers", 1]
         )
         calls = []  # one entry per validated sub-segment
+        splits = []  # one entry per stacked call, i.e. per split
         validate = cont.nk_validate_segment
 
         def spy(x0, x1, *args, **kwargs):
             out = validate(x0, x1, *args, **kwargs)
             # a stacked call validates len(x0) segments and returns a list
             calls.extend(out if isinstance(out, list) else [out])
+            splits.extend([out] if isinstance(out, list) else [])
             return out
 
         monkeypatch.setattr(cont, "nk_validate_segment", spy)
@@ -179,6 +181,8 @@ class TestContinueAndDiagram:
         assert stages["segments"] == len(json.loads(chain.read_text()))
         assert stages["subsegment_validations"] == len(calls) > 0
         assert 2 <= stages["max_segment_pieces"] <= stages["subsegment_validations"]
+        # one tube check of each segment, and one stacked check per split
+        assert stages["tube_checks"] == stages["segments"] + len(splits)
 
     def test_diagram_black_row_for_stall(self, tmp_path):
         chain = tmp_path / "chain.json"

@@ -550,6 +550,25 @@ def test_interval_matmul_equals_scalar_interval_product(slab, monkeypatch):
         assert _bits(got.lo) == _bits(ref.lo) and _bits(got.hi) == _bits(ref.hi)
 
 
+@pytest.mark.parametrize("slab", [4096, 5])
+def test_interval_matmul_vectors_equal_scalar_interval_product(slab, monkeypatch):
+    """Vector . vector gives the scalar Interval dot product, and vector x
+    matrix and matrix x vector the object products, bit for bit, through
+    ``matmul`` and ``@``."""
+    monkeypatch.setattr(iv, "_SLAB", slab)
+    for n in (1, 2, 9, 11):
+        A, X = _random_interval_product(n, n)
+        u, v = A[0], X[:, 0]
+        ref = sum((a * b for a, b in zip(u.to_object()[1:], v.to_object()[1:])), u.to_object()[0] * v.to_object()[0])
+        for got in (iv.matmul(u, v), u @ v):
+            assert isinstance(got, Interval)
+            assert _bits(got.lo) == _bits(ref.lo) and _bits(got.hi) == _bits(ref.hi)
+        for got, ref in ((u @ X, u.to_object() @ X.to_object()), (A @ v, A.to_object() @ v.to_object())):
+            ref = IntervalArray.from_object(ref)
+            assert got.shape == ref.shape
+            assert _bits(got.lo) == _bits(ref.lo) and _bits(got.hi) == _bits(ref.hi)
+
+
 def test_interval_matmul_default_slab_boundaries():
     """20 x n times n x 20 runs slabs of 10 inner indices under the default
     slab size; n = 9..11, 20 and 41 sit on and around the boundaries."""

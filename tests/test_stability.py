@@ -413,11 +413,13 @@ class TestSegmentStability:
 
     @staticmethod
     def _spy(monkeypatch):
-        """Record every sub-segment validation (its certificate) and every
-        failed invertibility check (its NotVerified) of the calls that follow;
-        a stacked validation call records each of its segments, in order."""
-        validated, failures = [], []
-        validate, verify = cont.nk_validate_segment, iv.verify_invertible
+        """Record every sub-segment validation (its certificate), every
+        failed invertibility check (its NotVerified) and every slice build
+        (its rings) of the calls that follow; a stacked validation call
+        records each of its segments, and a stacked invertibility check each
+        of its failing members, in order."""
+        validated, failures, slices = [], [], []
+        validate, verify, build = cont.nk_validate_segment, iv.verify_invertible, stab.build_slice
 
         def spy_validate(x0, x1, *args, **kwargs):
             out = validate(x0, x1, *args, **kwargs)
@@ -426,24 +428,36 @@ class TestSegmentStability:
 
         def spy_verify(M):
             try:
-                return verify(M)
+                out = verify(M)
             except iv.NotVerified as exc:
                 failures.append(exc)
                 raise
+            if isinstance(out, list):
+                failures.extend(res for res in out if isinstance(res, iv.NotVerified))
+            return out
+
+        def spy_build(ring, *args, **kwargs):
+            slices.append(ring)
+            return build(ring, *args, **kwargs)
 
         monkeypatch.setattr(cont, "nk_validate_segment", spy_validate)
         monkeypatch.setattr(iv, "verify_invertible", spy_verify)
-        return validated, failures
+        monkeypatch.setattr(stab, "build_slice", spy_build)
+        return validated, failures, slices
 
     def test_n5_subdivision_tiles_segment(self, monkeypatch):
         """The root tube fails with defect beta and is split once into
         floor(beta) + 1 pieces; the pieces that pass tile the segment, and
         neighbours share one polished point bit for bit."""
         cert = self._n5_certs(0.28, 0.29)[0]
-        validated, failures = self._spy(monkeypatch)
+        validated, failures, slices = self._spy(monkeypatch)
         sv = stab.stability_over_segment(cert)
         assert sv.whole_segment and sv.pieces == len(validated)
         assert failures, "the root tube is expected to need a split"
+        # the point verdict, the root tube (a stack of one), and one stack
+        # for all pieces
+        assert [len(r) if isinstance(r, list) else None for r in slices] == [None, 1, len(validated)]
+        assert sv.tube_checks == 2
 
         def same(a, b):
             return a.omega == b.omega and np.array_equal(a.flat(), b.flat())
@@ -467,6 +481,55 @@ class TestSegmentStability:
         assert len(top) == math.floor(failures[0].defect) + 1
         assert same(top[0].x0, cert.x0) and same(top[-1].x1, cert.x1)
 
+    def test_failed_stack_rechecks_each_piece(self, monkeypatch):
+        """A stacked slice build that raises is redone one piece at a time
+        with the same verdict; a piece's own SliceConstructionError is
+        raised when the walk reaches that piece."""
+        cert = self._n5_certs(0.28, 0.29)[0]
+        want = stab.stability_over_segment(cert)
+        build = stab.build_slice
+        calls = []
+
+        def flaky(ring, *args, bad=None, **kwargs):
+            calls.append(ring)
+            if (isinstance(ring, list) and len(ring) > 1) or (bad is not None and len(calls) == bad):
+                raise stab.SliceConstructionError(f"call {len(calls)}")
+            return build(ring, *args, **kwargs)
+
+        monkeypatch.setattr(stab, "build_slice", flaky)
+        got = stab.stability_over_segment(cert)
+        assert (got.whole_segment, got.pieces, got.reason) == (want.whole_segment, want.pieces, want.reason)
+        # point verdict, root tube, the failed stack, then a stack of one
+        # per piece
+        sizes = [len(r) if isinstance(r, list) else None for r in calls]
+        assert sizes == [None, 1, want.pieces] + [1] * want.pieces
+        calls.clear()
+        monkeypatch.setattr(stab, "build_slice", lambda *a, **k: flaky(*a, bad=3 + want.pieces, **k))
+        with pytest.raises(stab.SliceConstructionError, match=f"call {3 + want.pieces}"):
+            stab.stability_over_segment(cert)
+
+    def test_m1_tube_blocks_meet_point_blocks(self, monkeypatch):
+        """For m = 1 the slice reorders the vortices; the tube check must
+        project the tube Hessian in that order, so the tube block and the
+        point verdict's block (both enclosing the exact block at the left
+        endpoint) intersect entrywise."""
+        seed = cat.fixture("collision10")
+        cert = cont.continue_branch(seed, 50.0, 50.02, step=0.02, seed_omega=50.0).certificates[0]
+        seen = []
+        assemble = stab.assemble_blocks
+
+        def spy(basis, hess):
+            out = assemble(basis, hess)
+            seen.append((basis.permutation, out[0]))
+            return out
+
+        monkeypatch.setattr(stab, "assemble_blocks", spy)
+        sv = stab.stability_over_segment(cert)
+        assert sv.point_verdict.stable
+        (point_perm, point), (tube_perm, tube) = seen[:2]
+        assert [point_perm] == list(tube_perm) and point_perm != sorted(point_perm)
+        assert np.all(np.maximum(point.re.lo, tube.re.lo) <= np.minimum(point.re.hi, tube.re.hi))
+
     def test_n6_crossing_subdivision_floor(self, monkeypatch):
         """Across the stability loss the split stops at pieces 1/64 of the
         segment: at most 64 sub-segment validations, then a verdict limited
@@ -474,7 +537,7 @@ class TestSegmentStability:
         seed = cat.fixture("octahedron", (3, 2, 0))
         res = cont.continue_branch(seed, 1.41, 1.43, step=5e-3, seed_omega=0.0)
         crossing = [c for c in res.certificates if c.omega_interval[0] <= 1.4150 <= c.omega_interval[1]]
-        validated, _ = self._spy(monkeypatch)
+        validated, _, _ = self._spy(monkeypatch)
         sv = stab.stability_over_segment(crossing[0])
         assert not sv.whole_segment
         assert 1 <= len(validated) == sv.pieces <= 64

@@ -1,6 +1,7 @@
 """Stacked (leading batch axis) calls of the model kernels, the augmented
-map, Newton polishing and segment validation against one call per member:
-every member of a stack must equal its own call bit for bit."""
+map, Newton polishing, segment validation and the tube check (slice,
+blocks, invertibility) against one call per member: every member of a
+stack must equal its own call bit for bit."""
 
 import os
 
@@ -9,7 +10,9 @@ import pytest
 
 from vortexcert import catalog as cat
 from vortexcert import continuation as cont
+from vortexcert import intervals as iv
 from vortexcert import model as md
+from vortexcert import stability as stab
 from vortexcert.intervals import Interval, IntervalArray
 
 from test_model import random_ring
@@ -214,3 +217,130 @@ def test_nk_validate_segment_stack_mixes_pass_and_fail():
             assert np.array(fields(got)).tobytes() == np.array(fields(want)).tobytes()
             assert got.x0 is a and got.x1 is b
     assert cont.NotValidated in kinds and cont.BranchCertificate in kinds
+
+
+# ---------------------------------------------------------------------------
+# The tube check: build_slice, assemble_blocks and verify_invertible
+# ---------------------------------------------------------------------------
+
+
+def _columns(basis):
+    """Every column part of a slice basis, block by block, as one tuple."""
+    return tuple(part for blk in basis.blocks for col in blk.columns for part in (col.re, col.im) if part is not None)
+
+
+def _block_parts(blocks):
+    return tuple(part for blk in blocks for part in (blk.re, blk.im) if part is not None)
+
+
+def _inverse_outcome(res):
+    """An InverseEnclosure as its bits and defect, a NotVerified as its
+    message and defect."""
+    if isinstance(res, iv.NotVerified):
+        return ("NotVerified", str(res), res.defect)
+    return ("InverseEnclosure", _bits(res.inverse), res.defect)
+
+
+def _single_inverse(M):
+    try:
+        return iv.verify_invertible(M)
+    except iv.NotVerified as exc:
+        return exc
+
+
+def _check_tube_stack(m, n, p, interval, rng):
+    """Stacked against single calls of lift_rho, build_slice,
+    assemble_blocks and verify_invertible on B rings of one signature, one of them the first
+    ring with its rings listed in reverse (so for n >= 2 the stack mixes
+    ring orders)."""
+    us = _generators(m, n, p, interval, rng)
+    us.append(us[0][::-1])
+    rings = [md.RingSystem(m, n, p, u, check=False) for u in us]
+    vecs = [md.lift_rho(r).vectors for r in rings]
+    if n >= 2 and m >= 2:
+        orders = stab._ring_order(m, _stack(us))
+        assert len({tuple(o) for o in orders.tolist()}) > 1
+    lifted = md.lift_rho(rings)
+    _assert_stack_matches(lifted, vecs)
+    stacked = stab.build_slice(rings, lifted)
+    singles = [stab.build_slice(r, v) for r, v in zip(rings, vecs)]
+    _assert_stack_matches(_columns(stacked), [_columns(b) for b in singles])
+    if m == 1:
+        assert stacked.permutation == [b.permutation for b in singles]
+    omegas = rng.uniform(0.1, 2.0, size=len(us))
+    hess = []
+    for v, basis, omega in zip(vecs, singles, omegas):
+        v = v if basis.permutation is None else v[basis.permutation]
+        hess.append(md.full_hstar_hessian(v, Interval(omega) if interval else omega).matrix)
+    if m == 1:
+        _assert_stack_matches(
+            stab._slice_order(_stack(hess), stacked.permutation),
+            [stab._slice_order(h, b.permutation) for h, b in zip(hess, singles)],
+        )
+    blocks = stab.assemble_blocks(stacked, _stack(hess))
+    single_blocks = [stab.assemble_blocks(b, h) for b, h in zip(singles, hess)]
+    _assert_stack_matches(_block_parts(blocks), [_block_parts(b) for b in single_blocks])
+    assert [(blk.l, blk.kind, blk.size) for blk in blocks] == [(blk.l, blk.kind, blk.size) for blk in single_blocks[0]]
+    for k, blk in enumerate(blocks):
+        got = iv.verify_invertible(blk.realified())
+        want = [_single_inverse(b[k].realified()) for b in single_blocks]
+        assert [_inverse_outcome(r) for r in got] == [_inverse_outcome(r) for r in want], f"block {k} differs"
+
+
+@pytest.mark.parametrize("interval", [False, True], ids=["float", "interval"])
+@pytest.mark.parametrize("mnp", SIGNATURES)
+def test_tube_check_stacked_equal_single(mnp, interval):
+    _check_tube_stack(*mnp, interval, np.random.default_rng(SEED + 21))
+
+
+def test_verify_invertible_stack_returns_each_failure():
+    """A stack with a singular midpoint and a too wide member returns those
+    members' NotVerified, each with the message and defect of its own call,
+    and the other members their enclosures."""
+    rng = np.random.default_rng(SEED)
+    mats = [np.eye(4) * 2.0 + 0.1 * rng.normal(size=(4, 4)) for _ in range(5)]
+    mats[1] = np.ones((4, 4))
+    wide = IntervalArray(mats[0], mats[0])
+    wide.lo[0, 0], wide.hi[0, 0] = -5.0, 5.0
+    members = [IntervalArray(M - 1e-9, M + 1e-9) for M in mats]
+    members[3] = wide
+    got = iv.verify_invertible(_stack(members))
+    want = [_single_inverse(M) for M in members]
+    assert [_inverse_outcome(r) for r in got] == [_inverse_outcome(r) for r in want]
+    assert [type(r) for r in got] == [iv.InverseEnclosure, iv.NotVerified, iv.InverseEnclosure, iv.NotVerified, iv.InverseEnclosure]
+    assert got[3].defect >= 1.0 and np.isinf(got[1].defect)
+    # without the singular member the stack is inverted in one call
+    rest = [M for k, M in enumerate(members) if k != 1]
+    assert [_inverse_outcome(r) for r in iv.verify_invertible(_stack(rest))] == [
+        _inverse_outcome(r) for k, r in enumerate(want) if k != 1
+    ]
+    with pytest.raises(iv.NotVerified) as single:
+        iv.verify_invertible(wide)
+    assert single.value.defect == got[3].defect
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(stab, "_fourier_table"), (iv, "contraction_defect")],
+    ids=["slice", "invertibility"],
+)
+def test_planted_tube_stack_fault_is_caught(monkeypatch, module, name):
+    """A step that returns its stack members in reverse order leaves single
+    calls right, so only the stacked comparison can see it."""
+    honest = getattr(module, name)
+    rng = np.random.default_rng(SEED)
+    ring = random_ring(2, 2, 1, rng)
+    a = md.lift_rho(ring).vectors
+    blocks = stab.assemble_blocks(stab.build_slice(ring, a), md.full_hstar_hessian(a, 0.4).matrix)
+    before = _columns(stab.build_slice(ring, a)), [_inverse_outcome(_single_inverse(b.realified())) for b in blocks]
+
+    def reversed_members(*args):
+        out = honest(*args)
+        return out[:, :, :, ::-1] if name == "_fourier_table" else out[::-1]
+
+    monkeypatch.setattr(module, name, reversed_members)
+    after = _columns(stab.build_slice(ring, a)), [_inverse_outcome(_single_inverse(b.realified())) for b in blocks]
+    assert _bits(before[0]) == _bits(after[0]) and before[1] == after[1]
+    for interval in (False, True):
+        with pytest.raises(AssertionError, match="differs"):
+            _check_tube_stack(2, 2, 1, interval, np.random.default_rng(SEED + 21))
