@@ -1,10 +1,13 @@
 """Command-line pipeline: certify, continue, stability, diagram, simulate,
 catalog.
 
-Artifacts are deterministic (byte-identical across identical invocations);
-wall-clock and timestamps live only in the side-car run manifest.  Colors in
-reports follow the usual traffic convention: green = existence and
-stability certified, yellow = existence only, black = not certified.
+Artifacts are deterministic (byte-identical across identical invocations,
+and for every --workers count); wall-clock and timestamps live only in the
+side-car run manifest.  continue walks the branch numerically to fix the
+grid, then validates each grid segment, in a process pool when --workers
+is above 1.  Colors in reports follow the usual traffic convention:
+green = existence and stability certified, yellow = existence only,
+black = not certified.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from datetime import datetime, timezone
 
 import numpy as np
@@ -112,45 +116,12 @@ def cmd_certify(args) -> int:
     return 0
 
 
-def _validate_segment_task(payload):
-    (m, p, anchor, x0, w0, x1, w1) = payload
-    anchor = np.array(anchor)
-    a0 = cont.AugmentedPoint.from_flat(np.array(x0), w0)
-    a1 = cont.AugmentedPoint.from_flat(np.array(x1), w1)
-    try:
-        certificate = cont.nk_validate_segment(a0, a1, anchor, m, p)
-        return ("ok", certificate.to_json())
-    except cont.NotValidated as exc:
-        return ("fail", str(exc))
-
-
-def _refine_failed_segment(m, p, anchor, a0, a1, depth=0):
-    """Sequential bisection fallback for one failed segment."""
-    out = []
-    if depth > 10:
-        raise cont.NotValidated("segment refinement exhausted")
-    try:
-        out.append(cont.nk_validate_segment(a0, a1, anchor, m, p))
-        return out
-    except cont.NotValidated:
-        if abs(a1.omega - a0.omega) < cont.MIN_STEP:
-            raise
-    xm = 0.5 * (a0.flat() + a1.flat())
-    wm = 0.5 * (a0.omega + a1.omega)
-    xm_pol = cont.newton_polish(xm, wm, anchor, m, p)
-    mid = cont.AugmentedPoint.from_flat(xm_pol, wm)
-    out.extend(_refine_failed_segment(m, p, anchor, a0, mid, depth + 1))
-    out.extend(_refine_failed_segment(m, p, anchor, mid, a1, depth + 1))
-    return out
-
-
 def cmd_continue(args) -> int:
     t0 = time.time()
     ring, w_default, name = _load_ring(args)
     seed_omega = w_default if args.seed_omega is None else args.seed_omega
     workers = args.workers if args.workers else (os.cpu_count() or 1)
-    stages = {}
-    if args.no_rigor or workers <= 1:
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         result = cont.continue_branch(
             ring,
             args.omega_from,
@@ -158,39 +129,18 @@ def cmd_continue(args) -> int:
             step=args.step,
             rigor=not args.no_rigor,
             seed_omega=seed_omega,
+            mapper=pool.map if pool else map,
         )
-        certs = result.certificates
-        status = result.status
-        stall = result.stall_omega
-        stages["walk"] = status
-    else:
-        # numerical pass first; validations are independent and run in a pool
-        numeric = cont.continue_branch(
-            ring, args.omega_from, args.omega_to, step=args.step, rigor=False, seed_omega=seed_omega
-        )
-        stages["walk"] = numeric.status
-        pts = [pt for (w, pt) in numeric.points if _between(w, args.omega_from, args.omega_to)]
-        tasks = []
-        for a0, a1 in zip(pts, pts[1:]):
-            anchor = np.asarray(a0.u, dtype=float)
-            tasks.append((ring.m, ring.p, anchor.tolist(), a0.flat().tolist(), a0.omega, a1.flat().tolist(), a1.omega))
-        certs = []
-        status = numeric.status
-        stall = numeric.stall_omega
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_validate_segment_task, tasks))
-        for (a0, a1), (state, payload) in zip(zip(pts, pts[1:]), outcomes):
-            if state == "ok":
-                certs.append(cont.BranchCertificate.from_json(payload))
-                continue
-            anchor = np.asarray(a0.u, dtype=float)
-            try:
-                certs.extend(_refine_failed_segment(ring.m, ring.p, anchor, a0, a1))
-            except (cont.NotValidated, cont.NoConvergence):
-                status = "stalled"
-                stall = a0.omega
-                break
-        stages["validate"] = status
+        if pool:
+            # map submitted every grid segment; drop those past a stall
+            pool.shutdown(cancel_futures=True)
+    certs, status, stall = result.certificates, result.status, result.stall_omega
+    stages = {
+        "walk": result.walk_status,
+        "validate": "skipped" if args.no_rigor else status,
+        "validations": result.validations,
+        "validation_failures": result.validation_failures,
+    }
     chain = [c.to_json() for c in certs]
     if status == "stalled":
         chain.append({"status": "stalled", "omega": stall})
@@ -206,11 +156,6 @@ def cmd_continue(args) -> int:
         + (f"; stalled at omega = {stall}\n" if status == "stalled" else "\n")
     )
     return 0 if status == "completed" else 2 if status == "stalled" else 0
-
-
-def _between(w, a, b):
-    lo, hi = min(a, b), max(a, b)
-    return lo - 1e-12 <= w <= hi + 1e-12
 
 
 def _load_chain(path: str) -> tuple:
@@ -379,7 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=cont.DEFAULT_STEP)
     p.add_argument("--seed-omega", type=float, default=None)
     p.add_argument("--no-rigor", action="store_true")
-    p.add_argument("--workers", type=int, default=0, help="0 = machine core count")
+    p.add_argument(
+        "--workers", type=int, default=0,
+        help="processes validating grid segments (0 = machine core count); the chain is the same for every count",
+    )
     p.add_argument("--out")
     p.set_defaults(fn=cmd_continue)
 

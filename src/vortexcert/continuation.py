@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -56,6 +56,7 @@ __all__ = [
     "newton_polish",
     "nk_validate_point",
     "nk_validate_segment",
+    "refine_segment",
     "continue_branch",
     "DEFAULT_R_STAR",
     "DEFAULT_STEP",
@@ -605,9 +606,12 @@ def _validate_segments(x0s: list, x1s: list, b0, m: int, p: int, r_star: float) 
 @dataclass
 class BranchResult:
     certificates: list = field(default_factory=list)
-    points: list = field(default_factory=list)  # (omega, AugmentedPoint), numeric walk
+    points: list = field(default_factory=list)  # AugmentedPoints of the numeric walk
     status: str = "completed"
     stall_omega: float | None = None
+    walk_status: str = "completed"
+    validations: int = 0  # segment validations attempted
+    validation_failures: int = 0
 
     @property
     def stalled(self) -> bool:
@@ -621,6 +625,61 @@ def seed_point(ring: RingSystem, omega: float) -> AugmentedPoint:
     return AugmentedPoint(u=u, lam=lam, alpha=0.0, omega=omega)
 
 
+def _march(prev, cur: AugmentedPoint, target: float, step: float, min_step: float, attempt):
+    """Step from cur to omega = target with the secant predictor from prev.
+
+    attempt(x_pred, w_next, cur) returns (next point, outcome) or raises
+    NoConvergence or NotValidated; a failure halves the step, and a step
+    below min_step stalls.  The step recovers after three successes, and a
+    step within 1e-14 of target ends on target itself.  Returns (outcomes,
+    stall omega or None, NotValidated count)."""
+    dirn = 1.0 if target > cur.omega else -1.0
+    dt, streak, outcomes, failures = step * dirn, 0, [], 0
+    while cur.omega != target:
+        w_next = cur.omega + dt
+        if (target - w_next) * dirn <= 1e-14:
+            w_next = target
+        x_pred = cur.flat()
+        if prev is not None and cur.omega != prev.omega:
+            x_pred = x_pred + (w_next - cur.omega) / (cur.omega - prev.omega) * (cur.flat() - prev.flat())
+        try:
+            nxt, outcome = attempt(x_pred, w_next, cur)
+        except (NoConvergence, NotValidated) as exc:
+            failures += isinstance(exc, NotValidated)
+            if abs(dt) * 0.5 < min_step:
+                return outcomes, cur.omega, failures
+            dt *= 0.5
+            streak = 0
+            continue
+        outcomes.append(outcome)
+        prev, cur = cur, nxt
+        streak += 1
+        if streak >= 3 and abs(dt) < step:
+            dt = dirn * min(step, 2.0 * abs(dt))
+            streak = 0
+    return outcomes, None, failures
+
+
+def refine_segment(prev, a0: AugmentedPoint, a1: AugmentedPoint, m: int, p: int, step: float = DEFAULT_STEP,
+                   min_step: float = MIN_STEP):
+    """Validated chain over the grid segment from a0 to a1.
+
+    Every piece is anchored at a0.u (on which the walk polished a1); the
+    first piece tries the whole grid segment, a failed polish or validation
+    halves the step and three successes double it again, and the last piece
+    ends on a1 itself.  Returns (certificates, stall omega or None, failed
+    validations), the certificates being the certified prefix up to a stall;
+    the result depends on (prev, a0, a1) alone, so grid segments may be
+    refined in any process and order."""
+    anchor = np.asarray(a0.u, dtype=float)
+
+    def piece(x_pred, w_next, cur):
+        nxt = a1 if w_next == a1.omega else AugmentedPoint.from_flat(newton_polish(x_pred, w_next, anchor, m, p), w_next)
+        return nxt, nk_validate_segment(cur, nxt, anchor, m, p)
+
+    return _march(prev, a0, a1.omega, step, min_step, piece)
+
+
 def continue_branch(
     seed: RingSystem | AugmentedPoint,
     omega_from: float,
@@ -631,14 +690,19 @@ def continue_branch(
     min_step: float = MIN_STEP,
     rigor: bool = True,
     seed_omega: float | None = None,
-    polish_tol: float = 1e-13,
+    mapper=map,
 ) -> BranchResult:
-    """Predictor-corrector walk with per-segment validation.
+    """Numeric walk that fixes the grid, then validation of each grid segment.
 
-    The anchor is refreshed at the start of each segment; the first step is
-    tangent-free and later steps use the secant predictor.  A failed
-    validation (or polish) halves the step; below min_step the walk stops
-    with status "stalled" and the failure location.
+    The walk is a float predictor-corrector from the seed's omega through
+    omega_from to omega_to: the anchor is refreshed at every step, the first
+    step is tangent-free and later steps use the secant predictor, and a
+    failed polish halves the step.  Its points from omega_from on are the
+    grid, at most step apart.  With rigor, refine_segment validates each
+    grid segment, mapped in order with mapper (builtin map, or a process
+    pool's map: the chain is the same), so step halving happens per grid
+    segment.  The first stall ends the chain with status "stalled" and the
+    failure location; the certified prefix is kept.
     """
     if isinstance(seed, RingSystem):
         m, p = seed.m, seed.p
@@ -651,70 +715,44 @@ def continue_branch(
         start_omega = cur.omega if seed_omega is None else seed_omega
 
     result = BranchResult()
-    if omega_to == omega_from or step == 0.0:
-        result.status = "empty"
-        return result
-    direction = 1.0 if omega_to > omega_from else -1.0
-    if step > 0 and direction < 0:
-        # reversed range with a forward step: empty chain by convention
-        result.status = "empty"
+    if omega_to == omega_from or step == 0.0 or (step > 0 and omega_to < omega_from):
+        # a reversed range with a forward step is an empty chain by convention
+        result.status = result.walk_status = "empty"
         return result
     step = abs(step)
 
-    def polish(pt_x: np.ndarray, omega: float, anchor: np.ndarray) -> AugmentedPoint:
-        x = newton_polish(pt_x, omega, anchor, m, p, tol=polish_tol)
-        return AugmentedPoint.from_flat(x, omega)
+    def walk_step(x_pred, w_next, cur):
+        nxt = AugmentedPoint.from_flat(newton_polish(x_pred, w_next, np.asarray(cur.u, dtype=float), m, p), w_next)
+        return nxt, nxt
 
-    # settle the seed at its own omega
-    anchor = np.asarray(cur.u, dtype=float)
-    cur = polish(cur.flat(), start_omega, anchor)
-    result.points.append((start_omega, cur))
+    def walk_to(target: float) -> bool:
+        walk = result.points
+        points, stall, _ = _march(walk[-2] if len(walk) > 1 else None, walk[-1], target, step, min_step, walk_step)
+        walk += points
+        if stall is not None:
+            result.status = result.walk_status = "stalled"
+            result.stall_omega = stall
+        return stall is None
 
-    prev: AugmentedPoint | None = None
-
-    def advance(target: float, validate: bool) -> AugmentedPoint | None:
-        """Walk cur -> target; returns the endpoint or None when stalled."""
-        nonlocal cur, prev
-        dirn = 1.0 if target > cur.omega else -1.0
-        dt = step * dirn
-        streak = 0
-        while (target - cur.omega) * dirn > 1e-14:
-            w_next = cur.omega + dt
-            if (w_next - target) * dirn > 0:
-                w_next = target
-            anchor = np.asarray(cur.u, dtype=float)
-            x_pred = cur.flat()
-            if prev is not None and cur.omega != prev.omega:
-                frac = (w_next - cur.omega) / (cur.omega - prev.omega)
-                x_pred = cur.flat() + frac * (cur.flat() - prev.flat())
-            try:
-                nxt = polish(x_pred, w_next, anchor)
-                if validate:
-                    cert = nk_validate_segment(cur, nxt, anchor, m, p)
-                    result.certificates.append(cert)
-            except (NoConvergence, NotValidated):
-                if abs(dt) * 0.5 < min_step:
-                    result.status = "stalled"
-                    result.stall_omega = cur.omega
-                    return None
-                dt *= 0.5
-                streak = 0
-                continue
-            prev = cur
-            cur = nxt
-            result.points.append((w_next, cur))
-            # recover the step after a stretch of successes
-            streak += 1
-            if streak >= 3 and abs(dt) < step:
-                dt = dirn * min(step, 2.0 * abs(dt))
-                streak = 0
-        return cur
-
-    # ramp from the seed's omega to the start of the requested range (numeric)
-    if abs(start_omega - omega_from) > 1e-14:
-        if advance(omega_from, validate=False) is None:
-            return result
-    if advance(omega_to, validate=rigor) is None:
+    # settle the seed at its own omega, then ramp to the start of the range
+    result.points.append(walk_step(cur.flat(), start_omega, cur)[0])
+    if abs(start_omega - omega_from) > 1e-14 and not walk_to(omega_from):
         return result
-    result.status = "completed"
+    first = len(result.points) - 1
+    walk_to(omega_to)
+    if not rigor:
+        return result
+    # grid segment k runs from walk[k] to walk[k + 1]; walk[k - 1] (None
+    # before the seed) is its secant predictor's previous point
+    walk = result.points
+    grid = walk[first:]
+    prevs = ([None] + walk)[first : len(walk) - 1]
+    refine = partial(refine_segment, m=m, p=p, step=step, min_step=min_step)
+    for certificates, stall, failures in mapper(refine, prevs, grid[:-1], grid[1:]):
+        result.certificates += certificates
+        result.validations += len(certificates) + failures
+        result.validation_failures += failures
+        if stall is not None:
+            result.status, result.stall_omega = "stalled", stall
+            break
     return result

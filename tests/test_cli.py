@@ -121,14 +121,58 @@ class TestContinueAndDiagram:
         assert json.loads(chain.read_text()) == []  # nothing validated
 
     def test_workers_two(self, tmp_path):
+        """One and two workers write the same chain bytes and manifest stages."""
+        windows = [("bipyramid5", "2,2,1", 0.28, 0.285), ("antiprism8", "2,4,0", 1.6103, 1.6106)]
+        for fixture, label, w0, w1 in windows:
+            chains, stages = [], []
+            for workers in (1, 2):
+                chain = tmp_path / f"{fixture}-{workers}.json"
+                run_cli(
+                    ["continue", "--fixture", fixture, "--label", label, "--seed-omega", 0.0,
+                     "--omega-from", w0, "--omega-to", w1, "--out", chain, "--workers", workers]
+                )
+                chains.append(chain.read_bytes())
+                stages.append(json.loads((tmp_path / f"{chain.name}.manifest.json").read_text())["stages"])
+            assert chains[0] == chains[1], fixture
+            assert stages[0] == stages[1], fixture
+            data = json.loads(chains[1])
+            assert data and all(obj["status"] == "validated" for obj in data[:-1])
+            if fixture == "bipyramid5":
+                assert data[-1]["status"] == "validated"
+            else:
+                # near the bifurcation: a certified prefix, then the stall marker
+                assert len(data) > 1 and data[-1]["status"] == "stalled"
+
+    def test_pool_cancels_grid_segments_after_the_chain_ends(self, tmp_path, monkeypatch):
+        """The pool's map validates the grid; what it has not started past a
+        stall is cancelled."""
+        calls = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                calls.append(("workers", max_workers))
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                calls.append("map")
+                return map(fn, *iterables)
+
+            def shutdown(self, **kwargs):
+                calls.append(kwargs)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", Pool)
         chain = tmp_path / "chain.json"
         code = run_cli(
             ["continue", "--fixture", "bipyramid5", "--label", "2,2,1", "--seed-omega", 0.0,
-             "--omega-from", 0.28, "--omega-to", 0.285, "--out", chain, "--workers", 2]
+             "--omega-from", 0.28, "--omega-to", 0.285, "--out", chain, "--workers", 3]
         )
         assert code == 0
-        data = json.loads(chain.read_text())
-        assert data and all(obj["status"] == "validated" for obj in data)
+        assert calls == [("workers", 3), "map", {"cancel_futures": True}]
 
     def test_stability_missing_file_exit_1(self):
         assert run_cli(["stability", "/nonexistent/chain.json"]) == 1

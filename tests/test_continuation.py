@@ -228,13 +228,14 @@ class TestContinueBranch:
 
     def test_chain_covers_range(self):
         seed = cat.fixture("bipyramid5", (2, 2, 1))
+        # the 0.01 grid point 0.21 lies inside the range
         res = cont.continue_branch(seed, 0.2, 0.23, seed_omega=0.0)
-        los = [c.omega_interval[0] for c in res.certificates]
-        his = [c.omega_interval[1] for c in res.certificates]
-        assert math.isclose(min(los), 0.2, rel_tol=1e-12)
-        assert math.isclose(max(his), 0.23, rel_tol=1e-12)
-        for h, l in zip(his, los[1:]):
-            assert math.isclose(h, l, rel_tol=1e-12)
+        assert res.certificates[0].x0.omega == 0.2
+        assert res.certificates[-1].x1.omega == 0.23
+        # contiguous bit for bit: each certificate starts where the last ends
+        for c0, c1 in zip(res.certificates, res.certificates[1:]):
+            assert c0.x1.omega == c1.x0.omega
+            assert np.array_equal(c0.x1.flat(), c1.x0.flat())
 
     def test_m1_near_collision_continuation(self):
         """Asymmetric continuation of the 10-vortex near-collision state
